@@ -1,19 +1,26 @@
 """Exact combinatorial counts: multiplicative energy, difference-product counts.
 
-Every quantity has two routes that must agree to the integer:
+Every quantity has two routes that must agree to the integer: an oracle
+(brute-force comparison or direct loops, heavily size-gated) and an optimized
+route, a few lines over two primitives on length-p count tables: diff_counts,
+the difference table d as a cyclic autocorrelation of length p, and
+_mult_conv, r(mu) = sum over x y == mu of a(x) b(y), a cyclic convolution of
+length p-1 in the discrete-log domain (Rader's primitive-root reindexing) with
+the mass at 0 carried explicitly. E and D are sums of r^2 for r = (1_U, 1_V)
+and (d, d); N sums r_FG r_FH; I and J are r for (d_W, 1_Z) and (d_X, d_Y).
 
-  * oracle    - brute-force comparison or direct loops, heavily size-gated,
-  * optimized - frequency tables, weighted bincounts, and (for the
-                difference-product count) a cyclic convolution in the
-                discrete-log domain.
-
-Counts are returned as Python ints (unbounded), and every accumulation of
-squared or multiplied frequencies is done in Python-int arithmetic so no
-64-bit overflow is possible regardless of input sizes.
+Each primitive enumerates its support pairs in int64 unless its length n
+exceeds DIRECT_CONV_MAX and the pairs exceed ENUM_PAIRS_PER_POINT * n (both
+measured crossovers); then it takes a float64 FFT of zero-padded power-of-two
+length, rounded only when an a priori error bound from the inputs' norms and
+the length (Percival, Math. Comp. 72, 2003) is below 1/4, else it enumerates.
+Sums of squares use int64 only where no partial sum can overflow.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +35,8 @@ DTIMES_ORACLE_MAX = 60           # |U| cap for the d_times oracle route
 DTIMES_OPT_MAX = 10_000          # |U| cap for the optimized route
 DTIMES_OPT_P_MAX = 10**6
 FREQ_BUDGET = 10**8              # frequency-table products
-DIRECT_CONV_MAX = 4096           # above this, cyclic convolution goes through FFT
+DIRECT_CONV_MAX = 48             # at or below this length the primitives enumerate
+ENUM_PAIRS_PER_POINT = 10        # above it, they transform past this many pairs per point
 
 
 @dataclass(frozen=True)
@@ -52,23 +60,90 @@ def _as_array(s) -> np.ndarray:
     return np.asarray(sorted(int(x) for x in s), dtype=np.int64)
 
 
-def _chunked_bincount(rows: np.ndarray, cols: np.ndarray, p: int, op) -> np.ndarray:
-    """Accumulate bincount of op(rows[i], cols[j]) % p over all pairs, in blocks."""
-    out = np.zeros(p, dtype=np.int64)
-    step = max(1, 2**22 // max(1, len(cols)))
-    for start in range(0, len(rows), step):
-        block = op(rows[start : start + step, None], cols[None, :]) % p
-        out += np.bincount(block.reshape(-1), minlength=p)
-    return out
+def _table(p: int, u: np.ndarray) -> np.ndarray:
+    """Length-p multiplicity table of the residues of u."""
+    return np.bincount(u % p, minlength=p)
 
 
-def diff_counts(p: int, u: np.ndarray) -> np.ndarray:
-    """d[a] = #{(x, y) in U^2 : x - y == a mod p}, length-p table."""
-    return _chunked_bincount(u, u, p, np.subtract)
+def _dot(x: np.ndarray, y: np.ndarray) -> int:
+    """Exact dot product of non-negative integer vectors: int64 np.dot over the
+    entries with max^2 * len < 2**63, Python ints over the rest."""
+    limit = math.isqrt((2**63 - 1) // max(1, len(x)))
+    big = (x > limit) | (y > limit)
+    if not big.any():
+        return int(np.dot(x, y))
+    return int(np.dot(x[~big], y[~big])) + sum(map(operator.mul, x[big].tolist(), y[big].tolist()))
 
 
 def _sum_of_squares(counts: np.ndarray) -> int:
     return sum(int(c) * int(c) for c in counts[counts > 0].tolist())
+
+
+def _transform_pays(pairs: int, length: int) -> bool:
+    return length > DIRECT_CONV_MAX and pairs > ENUM_PAIRS_PER_POINT * length
+
+
+def _pair_sums(p: int, xs, wx, ys, wy, op) -> np.ndarray:
+    """out[op(x, y) % p] += wx * wy over all pairs, in blocks; exact while the
+    total mass sum(wx) sum(wy), which the callers' budgets bound, is < 2**63."""
+    out = np.zeros(p, dtype=np.int64)
+    step = max(1, 2**22 // max(1, len(ys)))
+    for i in range(0, len(xs), step):
+        keys = op(xs[i : i + step, None], ys[None, :]) % p
+        np.add.at(out, keys.reshape(-1), (wx[i : i + step, None] * wy[None, :]).reshape(-1))
+    return out
+
+
+def _fft_error_bound(sq_x: int, sq_y: int, size: int) -> float:
+    """Bound on max |computed - exact| of a float64 FFT convolution of length
+    size = 2**(k-1), from squared norms: Percival, Thm. 5.1, with unit roundoff
+    and twiddle error u = 2**-53; the extra level covers real-input packing."""
+    k, u = size.bit_length(), 2.0**-53
+    growth = math.expm1(6 * k * math.log1p(u) + (3 * k + 1) * math.log1p(u * math.sqrt(5)))
+    return math.sqrt(sq_x) * math.sqrt(sq_y) * growth
+
+
+def _cyclic_fft(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray | None:
+    """Length-n cyclic convolution of integer vectors, folded from a linear one
+    of power-of-two length >= 2n - 1; None when the error bound is not < 1/4."""
+    size = 1 << (2 * n - 2).bit_length()
+    sq_x = _dot(x, x)
+    if _fft_error_bound(sq_x, sq_x if y is x else _dot(y, y), size) >= 0.25:
+        return None
+    fx = np.fft.rfft(x, size)
+    lin = np.fft.irfft(fx * (fx if y is x else np.fft.rfft(y, size)), size)
+    out = lin[:n]
+    out[: n - 1] += lin[n : 2 * n - 1]
+    return np.rint(out).astype(np.int64)
+
+
+def diff_counts(p: int, u) -> np.ndarray:
+    """d[a] = #{(x, y) in U^2 : x - y == a mod p}, length-p table: the autocorrelation."""
+    u = np.asarray(u, dtype=np.int64)
+    xs, wx = np.unique(u % p, return_counts=True)
+    if _transform_pays(len(xs) ** 2, p):
+        c = _table(p, u)
+        d = _cyclic_fft(c, np.roll(c[::-1], 1), p)  # the reversal c[-j]
+        if d is not None:
+            return d
+    return _pair_sums(p, xs, wx, xs, wx, np.subtract)
+
+
+def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """r[mu] = sum over x y == mu mod p of a[x] b[y], for length-p count tables."""
+    p = ctx.p
+    sa, sb = np.flatnonzero(a[1:]) + 1, np.flatnonzero(b[1:]) + 1
+    conv = None
+    if _transform_pays(len(sa) * len(sb), p - 1):
+        x = a[ctx.g_pow]  # x[t] = a[g**t]: products become sums of exponents
+        conv = _cyclic_fft(x, x if b is a else b[ctx.g_pow], p - 1)
+    if conv is None:
+        r = _pair_sums(p, sa, a[sa], sb, b[sb], np.multiply)
+    else:
+        r = np.concatenate(([0], conv[ctx.dlog[1:]]))
+    a0, b0 = int(a[0]), int(b[0])
+    r[0] = a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0
+    return r
 
 
 def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
@@ -80,8 +155,9 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
     if method == "optimized":
         if n > FREQ_BUDGET:
             raise BudgetExceeded(f"product table of size {n} exceeds {FREQ_BUDGET}")
-        counts = _chunked_bincount(u, v, p, np.multiply)
-        return CountValue(count=_sum_of_squares(counts), method=method)
+        table_u = _table(p, u)
+        r = _mult_conv(ctx, table_u, table_u if np.array_equal(u, v) else _table(p, v))
+        return CountValue(count=_dot(r, r), method=method)
     if method == "oracle":
         if n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(f"oracle pair comparison at n={n} exceeds {ORACLE_PAIR_BUDGET}")
@@ -105,8 +181,7 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     Both routes go through the difference table d(a); they differ in how the
     multiplicative convolution r(mu) = sum over ab == mu of d(a) d(b) is
     formed: the oracle accumulates the outer product of supports directly, the
-    optimized route maps nonzero differences through the discrete log and
-    performs a cyclic convolution of length p-1. The answer is sum of r(mu)^2.
+    optimized route is mult_conv(d, d). The answer is sum of r(mu)^2.
     """
     p = ctx.p
     u = _as_array(us)
@@ -129,21 +204,8 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     if method == "optimized":
         if len(u) > DTIMES_OPT_MAX or p > DTIMES_OPT_P_MAX:
             raise BudgetExceeded(f"|U|={len(u)}, p={p} out of optimized range")
-        n = p - 1
-        vec = np.zeros(n, dtype=np.int64)
-        support = np.nonzero(d[1:])[0] + 1
-        vec[ctx.dlog[support]] = d[support]
-        if n <= DIRECT_CONV_MAX:
-            full = np.convolve(vec, vec)
-            conv = full[:n].copy()
-            conv[: n - 1] += full[n:]
-        else:
-            f = np.fft.rfft(vec.astype(np.float64))
-            approx = np.fft.irfft(f * f, n)
-            conv = np.rint(approx).astype(np.int64)
-            if np.max(np.abs(approx - conv)) > 0.25 or conv.sum() != int(vec.sum()) ** 2:
-                raise AssertionError("FFT convolution failed its exactness checks")
-        return CountValue(count=r0 * r0 + _sum_of_squares(conv), method=method)
+        r = _mult_conv(ctx, d, d)  # r[0] == r0
+        return CountValue(count=_dot(r, r), method=method)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -167,14 +229,10 @@ def n_triples(
             raise BudgetExceeded(
                 f"triple tables {left_n}/{right_n} exceed {FREQ_BUDGET}"
             )
-        r_fg = _chunked_bincount(f, _difference_values(p, g), p, np.multiply)
-        r_fh = _chunked_bincount(f, _difference_values(p, h), p, np.multiply)
-        count = sum(
-            int(a) * int(b)
-            for a, b in zip(r_fg.tolist(), r_fh.tolist())
-            if a and b
-        )
-        return CountValue(count=count, method=method)
+        table_f = _table(p, f)
+        r_fg = _mult_conv(ctx, table_f, diff_counts(p, g))
+        r_fh = r_fg if np.array_equal(g, h) else _mult_conv(ctx, table_f, diff_counts(p, h))
+        return CountValue(count=_dot(r_fg, r_fh), method=method)
     if method == "oracle":
         if left_n > ORACLE_PAIR_BUDGET or right_n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(
@@ -202,15 +260,9 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
     if method == "optimized":
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"J frequency product {mass} exceeds {FREQ_BUDGET}")
-        dx = diff_counts(p, x)
-        dy = diff_counts(p, y)
-        dx0, dy0 = int(dx[0]), int(dy[0])
-        sx = np.nonzero(dx[1:])[0] + 1
-        sy = np.nonzero(dy[1:])[0] + 1
-        r = np.zeros(p, dtype=np.int64)
-        for a, wa in zip(sx.tolist(), dx[sx].tolist()):
-            np.add.at(r, (a * sy) % p, wa * dy[sy])
-        zero_count = dx0 * len(y) ** 2 + dy0 * len(x) ** 2 - dx0 * dy0
+        r = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
+        zero_count = int(r[0])
+        r[0] = 0
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"J oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
@@ -227,7 +279,7 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
                     r[mu] += 1
     else:
         raise ValueError(f"unknown method {method!r}")
-    table = {int(i): int(c) for i, c in enumerate(r.tolist()) if c}
+    table = {i: int(r[i]) for i in np.flatnonzero(r).tolist()}
     return Distribution(table=table, total=sum(table.values()), zero_count=zero_count)
 
 
@@ -299,12 +351,8 @@ def cauchy_step_report(ctx: FieldCtx, f: Subgroup, g: Subgroup, h: Subgroup) -> 
     p = ctx.p
     n = n_triples(ctx, f, g, h, method="optimized").count
     s = product_set(ctx, [f, g, h])
-    eg = mult_energy(
-        ctx, _shifted_elements(p, g, p - 1).tolist(), _shifted_elements(p, g, p - 1).tolist()
-    ).count
-    eh = mult_energy(
-        ctx, _shifted_elements(p, h, p - 1).tolist(), _shifted_elements(p, h, p - 1).tolist()
-    ).count
+    eg = shifted_energy(ctx, g, p - 1).count
+    eh = shifted_energy(ctx, h, p - 1).count
     sq = lambda_square_sum(ctx, s, g, h)
     fo, go, ho = f.order, g.order, h.order
     collapsed = n**4 * s.order**2 <= fo**8 * go**4 * ho**4 * eg * eh
@@ -329,12 +377,7 @@ def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribu
     if method == "optimized":
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"I frequency product {mass} exceeds {FREQ_BUDGET}")
-        dw = diff_counts(p, w)
-        sw = np.nonzero(dw[1:])[0] + 1
-        r = np.zeros(p, dtype=np.int64)
-        for a, wa in zip(sw.tolist(), dw[sw].tolist()):
-            np.add.at(r, (a * z) % p, wa)
-        r[0] += int(dw[0]) * len(z)
+        r = _mult_conv(ctx, diff_counts(p, w), _table(p, z))
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"I oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
@@ -346,5 +389,5 @@ def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribu
                     r[zz * (w1 - w2) % p] += 1
     else:
         raise ValueError(f"unknown method {method!r}")
-    table = {int(i): int(c) for i, c in enumerate(r.tolist()) if c}
+    table = {i: int(r[i]) for i in np.flatnonzero(r).tolist()}
     return Distribution(table=table, total=sum(table.values()), zero_count=0)

@@ -20,6 +20,7 @@ from .field import FieldCtx, SparsePoly
 
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
+GATHER_BLOCK = 2**22  # terms gathered at once by sum_decomposed
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,11 @@ def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     return _make_sum(_csum(terms), ctx.p - 1)
 
 
+def _gather_rows(p: int) -> int:
+    """Rows of p-1 terms per sum_decomposed block: about GATHER_BLOCK terms, at least one row."""
+    return max(1, GATHER_BLOCK // (p - 1))
+
+
 def sum_decomposed(
     ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex, budget: int = DECOMPOSITION_BUDGET
 ) -> SumValue:
@@ -111,8 +117,9 @@ def sum_decomposed(
     ws = np.arange(1, p, dtype=np.int64)
     vs = np.nonzero(counts)[0]
     partials = []
-    for start in range(0, len(vs), 256):
-        block = vs[start : start + 256]
+    rows = _gather_rows(p)
+    for start in range(0, len(vs), rows):
+        block = vs[start : start + rows]
         inner = terms[(block[:, None] * ws[None, :]) % p].sum(axis=1)
         partials.append(inner * counts[block])
     total = _csum(np.concatenate(partials))

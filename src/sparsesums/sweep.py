@@ -14,7 +14,7 @@ import json
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import numpy as np
@@ -437,7 +437,7 @@ def _task_bounds(p: int, poly: str, j: int, mode: str) -> dict:
     data = {name: entry.value for name, entry in report.bounds.items()}
     data["regime"] = report.bounds["gcd"].regime
     data["winner"] = report.winner
-    data["klmn"] = int(np.prod([float(k) for k in psi.exponents]))
+    data["klmn"] = prod(psi.exponents)
     data["exact"] = report.exact_magnitude
     data["rerun"] = f"compare --p {p} --poly '{poly}' --chi {j} --mode {mode}"
     passed = True

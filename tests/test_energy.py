@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsesums import energy
 from sparsesums import (
     BudgetExceeded,
     all_subgroups,
@@ -24,6 +25,30 @@ from sparsesums import (
 )
 from conftest import cauchy_separated_forms, ctx_for
 
+# (DIRECT_CONV_MAX, ENUM_PAIRS_PER_POINT) that pin every primitive call to one
+# side of the enumeration-vs-transform choice.
+ROUTES = {"enumerate": (10**9, 10**9), "transform": (0, 0)}
+
+
+def each_route():
+    """Yield once with the routes as chosen, then once pinned to each side."""
+    yield None
+    for name, (direct_max, per_point) in ROUTES.items():
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "DIRECT_CONV_MAX", direct_max)
+            mp.setattr(energy, "ENUM_PAIRS_PER_POINT", per_point)
+            yield name
+
+
+def _random_multisets(rng, p: int, count: int, top: int):
+    """Multisets of residues: repeats, 0 and representatives >= p included."""
+    out = []
+    for _ in range(count):
+        size = int(rng.integers(1, top + 1))
+        elems = rng.integers(0, p, size=size) + p * rng.integers(0, 3, size=size)
+        out.append(elems.tolist())
+    return out
+
 
 def test_mult_energy_worked_value(ctx13):
     # E of the set {2,4,10} against itself
@@ -39,13 +64,20 @@ def test_mult_energy_subgroup_cube():
 
 
 def test_mult_energy_routes_agree_on_random_sets(ctx31):
-    rng = np.random.default_rng(2)
-    for _ in range(25):
-        us = rng.choice(30, size=int(rng.integers(2, 12)), replace=False) + 1
-        vs = rng.choice(30, size=int(rng.integers(2, 12)), replace=False) + 1
-        a = mult_energy(ctx31, us, vs, method="optimized").count
-        b = mult_energy(ctx31, us, vs, method="oracle").count
-        assert a == b
+    for _route in each_route():
+        rng = np.random.default_rng(2)
+        for _ in range(25):
+            us = rng.choice(30, size=int(rng.integers(2, 12)), replace=False) + 1
+            vs = rng.choice(30, size=int(rng.integers(2, 12)), replace=False) + 1
+            a = mult_energy(ctx31, us, vs, method="optimized").count
+            b = mult_energy(ctx31, us, vs, method="oracle").count
+            assert a == b
+        # multisets with 0 and with elements >= p, on both sides of the route choice
+        ctx = ctx_for(101)
+        for us, vs in zip(*[iter(_random_multisets(rng, 101, 40, 70))] * 2):
+            a = mult_energy(ctx, us, vs, method="optimized").count
+            b = mult_energy(ctx, us, vs, method="oracle").count
+            assert a == b
 
 
 def test_d_times_worked_value():
@@ -61,14 +93,31 @@ def test_d_times_frozen_subgroup_value():
 
 
 def test_d_times_routes_agree():
-    for p in (13, 31, 61):
-        ctx = ctx_for(p)
-        for sub in all_subgroups(ctx):
-            if sub.order > 40:
-                continue
-            a = d_times(ctx, sub, method="optimized").count
-            b = d_times(ctx, sub, method="oracle").count
+    for _route in each_route():
+        for p in (13, 31, 61):
+            ctx = ctx_for(p)
+            for sub in all_subgroups(ctx):
+                if sub.order > 40:
+                    continue
+                a = d_times(ctx, sub, method="optimized").count
+                b = d_times(ctx, sub, method="oracle").count
+                assert a == b
+        rng = np.random.default_rng(4)
+        ctx = ctx_for(211)
+        for us in _random_multisets(rng, 211, 12, 60):
+            a = d_times(ctx, us, method="optimized").count
+            b = d_times(ctx, us, method="oracle").count
             assert a == b
+
+
+def test_diff_counts_matches_pair_enumeration():
+    for _route in each_route():
+        rng = np.random.default_rng(6)
+        for p in (13, 101, 211):
+            for us in _random_multisets(rng, p, 10, 3 * p):
+                diffs = np.subtract.outer(us, us) % p
+                expected = np.bincount(diffs.reshape(-1), minlength=p)
+                assert np.array_equal(energy.diff_counts(p, us), expected)
 
 
 def test_d_times_fft_path_matches_full_group_closed_form():
@@ -86,10 +135,19 @@ def test_d_times_fft_path_matches_full_group_closed_form():
 
 
 def test_shifted_energy_contains_zero_case(ctx13):
-    # -1 is in the order-2 subgroup, so G+1 contains 0
-    sub = subgroup_of_order(ctx13, 2)
-    val = shifted_energy(ctx13, sub, 1).count
-    assert val == mult_energy(ctx13, [2, 0], [2, 0]).count
+    for _route in each_route():
+        # -1 is in the order-2 subgroup, so G+1 contains 0
+        sub = subgroup_of_order(ctx13, 2)
+        val = shifted_energy(ctx13, sub, 1).count
+        assert val == mult_energy(ctx13, [2, 0], [2, 0]).count
+        # even orders put -1 in G, so G+1 holds 0; both sides of the route choice
+        ctx = ctx_for(211)
+        for d in (2, 6, 30, 70):
+            sub = subgroup_of_order(ctx, d)
+            shifted = ((sub.as_array() + 1) % 211).tolist()
+            assert 0 in shifted
+            val = shifted_energy(ctx, sub, 1).count
+            assert val == mult_energy(ctx, shifted, shifted, method="oracle").count
 
 
 def test_n_triples_worked_value(ctx13):
@@ -101,16 +159,30 @@ def test_n_triples_worked_value(ctx13):
 
 
 def test_n_triples_routes_agree_random():
-    ctx = ctx_for(31)
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        sets = [
-            (rng.choice(30, size=int(rng.integers(2, 8)), replace=False) + 1)
-            for _ in range(3)
-        ]
-        a = n_triples(ctx, *sets, method="optimized").count
-        b = n_triples(ctx, *sets, method="oracle").count
-        assert a == b
+    for _route in each_route():
+        ctx = ctx_for(31)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            sets = [
+                (rng.choice(30, size=int(rng.integers(2, 8)), replace=False) + 1)
+                for _ in range(3)
+            ]
+            a = n_triples(ctx, *sets, method="optimized").count
+            b = n_triples(ctx, *sets, method="oracle").count
+            assert a == b
+        # |F| |G|^2 up to the oracle budget at p = 101; G == H takes the shared side
+        ctx = ctx_for(101)
+        for f, g, h in zip(*[iter(_random_multisets(rng, 101, 45, 12))] * 3):
+            f = (f * 4)[:30]
+            for hh in (h, g):
+                a = n_triples(ctx, f, g, hh, method="optimized").count
+                b = n_triples(ctx, f, g, hh, method="oracle").count
+                assert a == b
+        g = subgroup_of_order(ctx, 10)
+        f = ((g.as_array() + 1) % 101).tolist()  # contains 0
+        assert 0 in f
+        a = n_triples(ctx, f, g, g, method="optimized").count
+        assert a == n_triples(ctx, f, g, g, method="oracle").count
 
 
 def test_i_distribution_worked_value(ctx13):
@@ -134,6 +206,22 @@ def test_i_distribution_square_sum_identity():
                 assert dist.total == w.order**2 * z.order
                 square_sum = sum(v * v for v in dist.table.values())
                 assert square_sum == n_triples(ctx, z, w, w).count
+
+
+def test_distributions_routes_agree():
+    for _route in each_route():
+        rng = np.random.default_rng(11)
+        ctx = ctx_for(101)
+        sets = _random_multisets(rng, 101, 24, 24)
+        for w, z in zip(sets[::2], sets[1::2]):
+            z = z + [0, 101]  # z == 0 puts mass at lambda == 0
+            opt = i_distribution(ctx, w, z)
+            ora = i_distribution(ctx, w, z, method="oracle")
+            assert opt == ora
+            x, y = w[:12], z[:12]
+            opt = j_distribution(ctx, x, y)
+            ora = j_distribution(ctx, x, y, method="oracle")
+            assert opt.table == ora.table and opt.zero_count == ora.zero_count
 
 
 def test_j_distribution_mass_and_frozen_square_sum(ctx13):
@@ -206,3 +294,61 @@ def test_budget_exceeded_is_raised_for_oracle_blowups():
     big = subgroup_of_order(ctx, 1008)
     with pytest.raises(BudgetExceeded):
         mult_energy(ctx, big, big, method="oracle")
+
+
+def _direct_cyclic(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """Length-n cyclic convolution in Python ints."""
+    n = len(x)
+    xs, ys = [int(v) for v in x], [int(v) for v in y]
+    return [sum(xs[s] * ys[(t - s) % n] for s in range(n)) for t in range(n)]
+
+
+def test_fft_error_bound_covers_observed_error():
+    rng = np.random.default_rng(13)
+    for n in (50, 300, 1000, 4000):
+        for top in (1, 2**10, 2**20):
+            x = rng.integers(0, top + 1, size=n)
+            y = rng.integers(0, top + 1, size=n)
+            size = 1 << (2 * n - 2).bit_length()
+            approx = np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[: 2 * n - 1]
+            exact = np.convolve(x, y)  # int64 is exact: n * top^2 < 2**63
+            observed = np.max(np.abs(approx - exact))
+            bound = energy._fft_error_bound(energy._dot(x, x), energy._dot(y, y), size)
+            assert observed <= bound
+            assert np.max(np.abs(approx - np.rint(approx))) <= bound
+
+
+def test_inputs_failing_the_bound_take_the_exact_route(monkeypatch):
+    ctx = ctx_for(101)
+    rng = np.random.default_rng(17)
+    a = rng.integers(2**22, 2**23, size=101)
+    b = rng.integers(2**22, 2**23, size=101)
+    # dense tables at n = 100: the transform would be chosen, but its bound fails
+    assert energy._transform_pays(100 * 100, 100)
+    x, y = a[ctx.g_pow], b[ctx.g_pow]
+    assert energy._fft_error_bound(energy._dot(x, x), energy._dot(y, y), 256) >= 0.25
+    calls = []
+    enumerate_pairs = energy._pair_sums
+    monkeypatch.setattr(
+        energy, "_pair_sums", lambda *args: calls.append(1) or enumerate_pairs(*args)
+    )
+    r = energy._mult_conv(ctx, a, b)
+    assert calls
+    conv = _direct_cyclic(x, y)
+    expected = [0] * 101
+    for t, g in enumerate(ctx.g_pow.tolist()):
+        expected[g] = conv[t]
+    a0, b0 = int(a[0]), int(b[0])
+    expected[0] = a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0
+    assert r.tolist() == expected
+
+
+def test_dot_is_exact_past_int64():
+    v = np.full(1000, 2**32 - 5, dtype=np.int64)
+    exact = 1000 * (2**32 - 5) ** 2
+    assert exact >= 2**63  # an int64 np.dot would wrap
+    assert energy._dot(v, v) == exact
+    mixed = np.arange(1000, dtype=np.int64)
+    mixed[7] = 2**40
+    assert energy._dot(mixed, mixed) == sum(int(c) ** 2 for c in mixed)
+    assert energy._dot(mixed, v) == sum(int(c) * (2**32 - 5) for c in mixed)

@@ -109,6 +109,25 @@ def test_decomposition_term_count_and_budget(ctx13):
         sum_decomposed(ctx13, psi, CharacterIndex(0), budget=10)
 
 
+def test_decomposition_gather_blocks_are_sized_by_terms(monkeypatch):
+    from sparsesums import sums
+
+    for p in (3, 13, 1801, 16411, 100003, 1000003, 9959041, 2**31 - 1):
+        rows = sums._gather_rows(p)
+        assert rows >= 1
+        assert rows * (p - 1) <= max(sums.GATHER_BLOCK, p - 1)
+        assert (rows + 1) * (p - 1) > sums.GATHER_BLOCK
+    # the value does not depend on the block size: rows still sum all of w
+    p = 1801
+    ctx = ctx_for(p)
+    psi = SparsePoly.from_terms(p, [(3, 9 * 7), (5, 10 * 11), (7, 4 * 13), (2, 17)])
+    chi = CharacterIndex(5)
+    value = sum_decomposed(ctx, psi, chi).value
+    for rows in (1, 7, 256):
+        monkeypatch.setattr(sums, "GATHER_BLOCK", rows * (p - 1))
+        assert sum_decomposed(ctx, psi, chi).value == value
+
+
 def test_decomposition_needs_four_terms(ctx13):
     psi = SparsePoly.parse(13, "1,3;1,1")
     with pytest.raises(ValueError):

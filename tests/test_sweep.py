@@ -227,6 +227,24 @@ def test_ratio_scan_small_window_matches_direct():
         assert out[key]["p"] <= 61
 
 
+def test_bounds_klmn_is_exact_past_float_precision():
+    from math import prod
+
+    from sparsesums import SparsePoly
+
+    p = 1_000_003
+    terms = [[3, 999983], [5, 999979], [7, 999961], [11, 999953]]
+    cfg = SweepConfig.from_dict(
+        {"primes": [p], "polynomials": {"explicit": [terms]}, "characters": [1],
+         "suites": ["bounds"]}
+    )
+    (rec,) = run_sweep(cfg)
+    klmn = prod(SparsePoly.parse(p, rec["poly"]).exponents)
+    assert klmn == 999983 * 999979 * 999961 * 999953 > 2**53
+    assert int(float(999983) * 999979 * 999961 * 999953) != klmn
+    assert rec["data"]["klmn"] == klmn
+
+
 def test_default_config_is_valid():
     cfg = SweepConfig.from_dict(DEFAULT_CONFIG)
     assert cfg.primes[0] == 11
