@@ -23,6 +23,7 @@ import numpy as np
 from .errors import CompositeModulus, DegenerateExponents, ModulusTooLarge
 
 MAX_MODULUS = 2**31
+TABLE_BLOCK = 2**16  # residues per block while the tables are filled
 
 
 def is_prime(n: int) -> bool:
@@ -133,9 +134,16 @@ def make_field_ctx(p: int) -> FieldCtx:
     g = smallest_primitive_root(p)
     g_pow = _power_table(g, p)
     dlog = np.full(p, -1, dtype=np.int64)
-    dlog[g_pow] = np.arange(p - 1, dtype=np.int64)
-    e_table = np.exp(2j * np.pi * np.arange(p) / p)
-    chi_unit = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
+    e_table = np.empty(p, dtype=np.complex128)
+    chi_unit = np.empty(p - 1, dtype=np.complex128)
+    # Filled block by block straight into the final arrays, so no length-p
+    # temporaries are made; each entry is the same expression as for one array.
+    for start in range(0, p, TABLE_BLOCK):
+        u = np.arange(start, min(start + TABLE_BLOCK, p), dtype=np.int64)
+        np.exp(2j * np.pi * u / p, out=e_table[start : start + len(u)])
+        u = u[u < p - 1]
+        np.exp(2j * np.pi * u / (p - 1), out=chi_unit[start : start + len(u)])
+        dlog[g_pow[start : start + len(u)]] = u
     return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow, e_table=e_table, chi_unit=chi_unit)
 
 

@@ -43,7 +43,7 @@ def subgroup_of_order(ctx: FieldCtx, d: int) -> Subgroup:
         raise NotADivisor(f"order {d} does not divide p-1={ctx.p - 1}")
     step = (ctx.p - 1) // d
     elems = ctx.g_pow[np.arange(d, dtype=np.int64) * step]
-    return Subgroup(order=d, elements=tuple(sorted(int(x) for x in elems)))
+    return Subgroup(order=d, elements=tuple(np.sort(elems).tolist()))
 
 
 def all_subgroups(ctx: FieldCtx) -> list[Subgroup]:

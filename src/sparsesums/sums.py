@@ -1,17 +1,30 @@
 """Exact complex evaluation of character sums, bilinear and quadrilinear forms.
 
-All sums are evaluated through FieldCtx tables: x**k = g_pow[k*dlog[x] mod p-1]
-and chi_j(x) = chi_unit[j*dlog[x] mod p-1]. Final accumulation uses math.fsum
-(exactly rounded) on the real and imaginary parts; large quadrilinear sums use
-numpy pairwise block sums combined with fsum across blocks, which keeps the
-rounding error orders of magnitude below the 1e-6 tolerances used by the
-verification suites.
+Every x in F_p^* is g**t for one exponent t in 0..p-2, so the character sum
+S = sum chi(x) e_p(Psi(x)) is evaluated in exponent order, in chunks of CHUNK
+consecutive t (`_t_terms`):
+
+  * Psi(g**t) mod p: for t = start + s, each monomial c*x**k contributes
+    (c * g**(k*start) mod p) * g_pow[(k*s) mod p-1]. The table over s is built
+    once per monomial and scaled per chunk by a Python int below p, so every
+    product stays below p**2 < 2**62 and the phase is the exact integer.
+  * chi_j(g**t) = chi_unit[j*t mod p-1] and e_p(u) = e_table[u]; the two are
+    multiplied into one reused buffer, so every p takes the same multiply loop.
+
+The real and imaginary parts are summed by `_ExactSum`, an error-free
+extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
+summation", SIAM J. Sci. Comput. 31, 2008) whose result is the correctly
+rounded sum, the value math.fsum gives, independent of term order and chunk
+size. Large quadrilinear sums use numpy pairwise block sums combined exactly
+across blocks, which keeps the rounding error orders of magnitude below the
+1e-6 tolerances used by the verification suites.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import fsum, gcd
+from math import gcd
 
 import numpy as np
 
@@ -21,6 +34,8 @@ from .field import FieldCtx, SparsePoly
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
 GATHER_BLOCK = 2**22  # terms gathered at once by sum_decomposed
+CHUNK = 2**16  # values per chunk; CHUNK * 2**_LEVEL_BITS <= 2**62 keeps level sums in int64
+_LEVEL_BITS = 46
 
 
 @dataclass(frozen=True)
@@ -40,43 +55,131 @@ class SumValue:
     term_count: int
 
 
-def _csum(parts: np.ndarray) -> complex:
-    flat = parts.ravel()
-    return complex(fsum(flat.real), fsum(flat.imag))
+class _ExactSum:
+    """Correctly rounded real and imaginary sums of complex128 values, fed as arrays.
+
+    The values are copied in blocks of at most CHUNK into the two rows of a
+    work buffer, real and imaginary parts, and both rows go through the same
+    levels. Each level rounds the block to the grid 2**e, e = top - 46 with
+    every |x| < 2**top, as q = (x + sigma) - sigma, sigma = 1.5 * 2**(e + 52).
+    Each q / 2**e is an integer of at most 46 bits, read off the bits of
+    x + sigma, so a row sums in int64 without overflow. The remainders x - q
+    are exact and go to the next level until none is left. Each part's total
+    is a Python int times 2**`_e`, rounded once by int true division. An exact
+    zero is +0.0 whatever the signs of the zero terms, as math.fsum gives on
+    Python 3.11, so records do not depend on them. A part with non-finite terms
+    is their IEEE sum; finite terms of magnitude 2**1017 or more raise
+    OverflowError.
+    """
+
+    def __init__(self) -> None:
+        self._re = 0
+        self._im = 0
+        self._e = 0
+        self._special = 0j  # IEEE sums of the non-finite parts
+        self._work = np.empty((3, 2, 0))  # reused level buffers: no page faults per block
+
+    def add(self, values) -> None:
+        z = np.asarray(values, dtype=np.complex128).reshape(-1)
+        for start in range(0, len(z), CHUNK):
+            self._add_block(z[start : start + CHUNK])
+
+    def _add_block(self, z: np.ndarray) -> None:
+        if self._work.shape[2] < len(z):
+            self._work = np.empty((3, 2, len(z)))
+        x, s, r = self._work[:, :, : len(z)]
+        x[0] = z.real
+        x[1] = z.imag
+        top = float(np.abs(x, out=s).max())
+        if not math.isfinite(top):
+            bad = ~np.isfinite(x)
+            self._special += complex(*np.where(bad, x, 0.0).sum(axis=1))
+            x[bad] = 0.0
+            top = float(np.abs(x, out=s).max())
+        if top >= 2.0**1017:  # sigma = 1.5 * 2**(e + 52) would not be finite
+            raise OverflowError(f"term {top!r} too large for exact summation")
+        while top:
+            e = max(math.frexp(top)[1] - _LEVEL_BITS, -1074)
+            sigma = math.ldexp(1.5, e + 52)
+            np.add(x, sigma, out=s)
+            # x + sigma stays in sigma's binade, where the bits grow by one per
+            # 2**e: the int64 sums may wrap, but each level sum fits in 63 bits
+            re, im = s.view(np.int64).sum(axis=1).tolist()
+            offset = len(z) * (((e + 52 + 1023) << 52) | (1 << 51))  # the bits of sigma
+            self._push(_wrap(re - offset), _wrap(im - offset), e)
+            np.subtract(s, sigma, out=s)
+            x = np.subtract(x, s, out=r)
+            top = float(np.abs(x, out=s).max())
+
+    def _push(self, re: int, im: int, e: int) -> None:
+        if e < self._e:
+            self._re <<= self._e - e
+            self._im <<= self._e - e
+            self._e = e
+        self._re += re << (e - self._e)
+        self._im += im << (e - self._e)
+
+    def _part(self, n: int) -> float:
+        if self._e < 0:
+            return n / (1 << -self._e)
+        return float(n << self._e)
+
+    def value(self) -> complex:
+        re = self._special.real or self._part(self._re)
+        im = self._special.imag or self._part(self._im)
+        return complex(re, im)
+
+
+def _wrap(n: int) -> int:
+    """n reduced to the signed 64-bit range, as int64 arithmetic wraps."""
+    return (n + 2**63) % 2**64 - 2**63
+
+
+def _csum(chunks) -> complex:
+    """Correctly rounded sum of the complex arrays in `chunks`, part by part."""
+    acc = _ExactSum()
+    for part in chunks:
+        acc.add(part)
+    return acc.value()
 
 
 def _make_sum(value: complex, term_count: int) -> SumValue:
     return SumValue(value=value, magnitude=abs(value), term_count=term_count)
 
 
-def phase_values(ctx: FieldCtx, psi: SparsePoly) -> np.ndarray:
-    """Psi(x) mod p for x = 1..p-1, via the discrete-log tables."""
-    p = ctx.p
-    t = np.arange(p - 1, dtype=np.int64)  # t = dlog of g**t
-    acc = np.zeros(p - 1, dtype=np.int64)
-    for c, k in psi.terms:
-        acc = (acc + c * ctx.g_pow[(k * t) % (p - 1)]) % p
-    # reorder from exponent order to residue order
-    out = np.zeros(p, dtype=np.int64)
-    out[ctx.g_pow] = acc
-    return out[1:]
+def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
+    """Yield (start, terms) with terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s.
+
+    The chunks cover t = 0..p-2 in order, CHUNK exponents at a time. `terms` is
+    one reused buffer: it is valid until the next chunk is drawn.
+    """
+    p, g, n = ctx.p, ctx.g, ctx.p - 1
+    j = chi.j % n
+    size = min(n, CHUNK)
+    s = np.arange(size, dtype=np.int64)
+    tables = [(c, k, ctx.g_pow[(k * s) % n]) for c, k in psi.terms]
+    out = np.empty(size, dtype=np.complex128)
+    for start in range(0, n, size):
+        m = min(size, n - start)
+        acc = np.zeros(m, dtype=np.int64)
+        for c, k, table in tables:
+            acc = (acc + table[:m] * (c * pow(g, k * start, p) % p)) % p
+        t = (s[:m] + start) * j % n
+        np.multiply(ctx.chi_unit[t], ctx.e_table[acc], out=out[:m])
+        yield start, out[:m]
 
 
 def term_array(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> np.ndarray:
     """chi(x) * e_p(Psi(x)) indexed by residue x (entry 0 is 0)."""
-    p = ctx.p
-    j = chi.j % (p - 1)
-    out = np.zeros(p, dtype=np.complex128)
-    xs = np.arange(1, p, dtype=np.int64)
-    chi_vals = ctx.chi_unit[(j * ctx.dlog[xs]) % (p - 1)]
-    out[1:] = chi_vals * ctx.e_table[phase_values(ctx, psi)]
+    out = np.zeros(ctx.p, dtype=np.complex128)
+    for start, terms in _t_terms(ctx, psi, chi):
+        out[ctx.g_pow[start : start + len(terms)]] = terms
     return out
 
 
 def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     """S = sum over x in F_p^* of chi(x) e_p(Psi(x))."""
-    terms = term_array(ctx, psi, chi)[1:]
-    return _make_sum(_csum(terms), ctx.p - 1)
+    return _make_sum(_csum(terms for _, terms in _t_terms(ctx, psi, chi)), ctx.p - 1)
 
 
 def _gather_rows(p: int) -> int:
@@ -122,7 +225,7 @@ def sum_decomposed(
         block = vs[start : start + rows]
         inner = terms[(block[:, None] * ws[None, :]) % p].sum(axis=1)
         partials.append(inner * counts[block])
-    total = _csum(np.concatenate(partials))
+    total = _csum(partials)
     return _make_sum(total / (a * b * c), a * b * c * (p - 1))
 
 
@@ -142,7 +245,7 @@ def bilinear_sum(
     if aw.shape != x.shape or bw.shape != y.shape:
         raise ValueError("weights must align with their sets")
     terms = (aw[:, None] * bw[None, :]) * ctx.e_table[(x[:, None] * y[None, :]) % p]
-    return _make_sum(_csum(terms), len(x) * len(y))
+    return _make_sum(_csum([terms]), len(x) * len(y))
 
 
 def _sorted_with_perm(s) -> tuple[np.ndarray, np.ndarray]:
@@ -192,7 +295,7 @@ def quadlinear_sum(
             phases = ctx.e_table[(c * yz) % p]
             wmat = (th[iw, ix][:, None] * rh[iw, ix][None, :]) * sg[iw] * ta[ix]
             block_sums[iw, ix] = (wmat * phases).sum()
-    return _make_sum(_csum(block_sums), size)
+    return _make_sum(_csum([block_sums]), size)
 
 
 def unit_weights(*dims: int) -> np.ndarray:

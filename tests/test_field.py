@@ -70,6 +70,28 @@ def test_e_table_and_chi_unit_are_roots_of_unity(ctx13):
     assert abs(ctx13.e_table.sum()) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "p, block",
+    [(13, 4), (29, 7), (31, 7), (65521, 2**16), (65537, 2**16), (65539, 2**16)],
+)
+def test_block_built_tables_equal_the_whole_array_formulas(monkeypatch, p, block):
+    # p-1 or p lands just below, on and just above a block boundary
+    from sparsesums import field
+
+    monkeypatch.setattr(field, "TABLE_BLOCK", block)
+    ctx = make_field_ctx(p)
+    whole_e = np.exp(2j * np.pi * np.arange(p) / p)
+    whole_chi = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
+    whole_dlog = np.full(p, -1, dtype=np.int64)
+    whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int64)
+    assert ctx.e_table.tobytes() == whole_e.tobytes()
+    assert ctx.chi_unit.tobytes() == whole_chi.tobytes()
+    assert ctx.dlog.tobytes() == whole_dlog.tobytes()
+    tables = (ctx.dlog, ctx.g_pow, ctx.e_table, ctx.chi_unit)
+    assert [t.dtype for t in tables] == [np.int64, np.int64, np.complex128, np.complex128]
+    assert sum(t.nbytes for t in tables) == 48 * p - 24
+
+
 def test_make_field_ctx_rejects_bad_moduli():
     with pytest.raises(CompositeModulus):
         make_field_ctx(15)

@@ -24,6 +24,7 @@ def test_subgroup_of_order_basics():
     s = subgroup_of_order(ctx, 3)
     assert s.order == 3
     assert s.elements == (1, 3, 9)
+    assert all(type(x) is int for x in s.elements)
     s4 = subgroup_of_order(ctx, 4)
     assert s4.elements == (1, 5, 8, 12)
     with pytest.raises(NotADivisor):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from math import gcd, sqrt
+from math import copysign, fsum, gcd, ldexp, sqrt
 
 import numpy as np
 import pytest
@@ -21,6 +21,8 @@ from sparsesums import (
     sum_exact,
     unit_weights,
 )
+from sparsesums import sums
+from sparsesums.sums import _ExactSum, term_array
 from conftest import ctx_for
 
 
@@ -65,6 +67,115 @@ def test_sum_exact_matches_brute_oracle(p):
         psi = SparsePoly.from_terms(p, terms)
         sv = sum_exact(ctx, psi, CharacterIndex(j))
         assert abs(sv.value - brute_sum(p, terms, j)) < 1e-9
+
+
+def _exact_sum(real, imag=()) -> complex:
+    real = np.asarray(real, dtype=np.float64)
+    z = np.zeros(len(real), dtype=np.complex128)
+    z.real = real
+    z.imag[: len(imag)] = imag
+    acc = _ExactSum()
+    acc.add(z)
+    return acc.value()
+
+
+def _adversarial_inputs():
+    rng = np.random.default_rng(11)
+    yield []
+    yield [0.0]
+    yield [-0.0]
+    yield [-0.0, -0.0, -0.0]
+    yield [0.0, -0.0] * 5
+    yield [ldexp(1.0, -1074)]
+    yield [ldexp(1.0, -1074)] * 3 + [-ldexp(3.0, -1074)]  # subnormals cancelling exactly
+    yield [ldexp(1.0, 50), 1.0, -ldexp(1.0, 50), ldexp(1.0, -1074)]
+    yield [1e16, 1.0, -1e16, 1.0, 1e-300, -1e-300]
+    yield [0.1] * 10
+    for sign in (1.0, -1.0):  # every level value at its 2**46 limit
+        yield np.full(sums.CHUNK + 3, sign * (1.0 - ldexp(1.0, -53)))
+    for n in (1, 2, 1000, sums.CHUNK - 1, sums.CHUNK, sums.CHUNK + 1, 2 * sums.CHUNK + 5):
+        signs = rng.choice([-1.0, 1.0], n)
+        x = np.ldexp(rng.random(n) * signs, rng.integers(-1074, 51, n))  # 2**-1074 .. 2**50
+        yield x
+        yield np.concatenate([x, -x[::-1]])  # exact cancellation to zero
+        yield np.concatenate([x, -x[: n // 2], np.full(3, -0.0)])
+        yield np.exp(2j * np.pi * rng.random(n)).real
+
+
+def test_exact_sum_is_correctly_rounded_like_fsum():
+    for values in _adversarial_inputs():
+        x = np.asarray(values, dtype=np.float64)
+        got = _exact_sum(x, np.roll(x, 1)[::-1])  # imaginary part: a permutation of x
+        assert got.real == fsum(x) and got.imag == fsum(x)
+        for part in (got.real, got.imag):
+            if part == 0.0:
+                assert copysign(1.0, part) == 1.0  # an exact zero is +0.0, whatever the zero signs
+
+
+def test_exact_sum_spans_calls_and_rejects_huge_terms():
+    acc = _ExactSum()
+    parts = [[ldexp(1.0, 50)], [1.0, ldexp(1.0, -60)], [], [-ldexp(1.0, 50)]]
+    for part in parts:
+        acc.add(np.asarray(part, dtype=np.complex128) * 1j)
+    assert acc.value() == complex(0.0, 1.0 + ldexp(1.0, -60)) == 1j * fsum(sum(parts, []))
+    nan_part = _exact_sum([1.0, 2.0], [float("nan"), 1.0])
+    assert nan_part.real == 3.0 and np.isnan(nan_part.imag)
+    assert _exact_sum([1.0, float("inf")]) == complex(float("inf"), 0.0)
+    with pytest.raises(OverflowError):
+        _exact_sum([ldexp(1.0, 1017)])
+
+
+def _bits(z) -> bytes:
+    return np.asarray(z, dtype=np.complex128).tobytes()
+
+
+@pytest.mark.parametrize(
+    "p, chunks",
+    [
+        (13, (1, 7, 2**16)),  # p-1 = 12 just below a multiple of 7
+        (29, (1, 7, 2**16)),  # p-1 = 28 a multiple of 7
+        (23, (1, 7, 2**16)),  # p-1 = 22 just above a multiple of 7
+        (65521, (1000, 2**16)),  # p-1 just below 2**16
+        (65537, (1000, 2**16)),  # p-1 = 2**16
+        (65539, (1000, 2**16)),  # p-1 just above 2**16
+    ],
+)
+def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, p, chunks):
+    ctx = ctx_for(p)
+    rng = np.random.default_rng(p)
+    exps = (rng.choice(p - 2, size=4, replace=False) + 1).tolist()
+    psi = SparsePoly.from_terms(p, list(zip(rng.integers(1, p, 4).tolist(), exps)))
+    chi = CharacterIndex(int(rng.integers(0, p - 1)))
+    seen = set()
+    for chunk in chunks:
+        monkeypatch.setattr(sums, "CHUNK", chunk)
+        seen.add((_bits(sum_exact(ctx, psi, chi).value), term_array(ctx, psi, chi).tobytes()))
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("p", [101, 16381, 16411])
+def test_sum_exact_equals_fsum_of_residue_order_product(p):
+    # residue order, x**k = g_pow[k*dlog[x]], one out-of-place multiply: the
+    # terms match bit for bit on both sides of p-1 = 16384 (256 KiB of terms)
+    ctx = ctx_for(p)
+    n = p - 1
+    rng = np.random.default_rng(p + 1)
+    for _ in range(3):
+        exps = (rng.choice(p - 2, size=4, replace=False) + 1).tolist()
+        psi = SparsePoly.from_terms(p, list(zip(rng.integers(1, p, 4).tolist(), exps)))
+        j = int(rng.integers(0, n))
+        dl = ctx.dlog[1:]
+        phase = np.zeros(n, dtype=np.int64)
+        for c, k in psi.terms:
+            phase = (phase + c * ctx.g_pow[(k * dl) % n]) % p
+        chi_vals = ctx.chi_unit[(j * dl) % n]
+        e_vals = ctx.e_table[phase]
+        ref = np.multiply(chi_vals, e_vals)
+        chi = CharacterIndex(j)
+        assert term_array(ctx, psi, chi)[1:].tobytes() == ref.tobytes()
+        assert _bits(sum_exact(ctx, psi, chi).value) == _bits(
+            complex(fsum(ref.real), fsum(ref.imag))
+        )
 
 
 def test_character_index_normalizes_mod_p_minus_1(ctx13):
