@@ -2,19 +2,45 @@
 
 Every quantity has two routes that must agree to the integer: an oracle
 (brute-force comparison or direct loops, heavily size-gated) and an optimized
-route, a few lines over two primitives on length-p count tables: diff_counts,
-the difference table d as a cyclic autocorrelation of length p, and
-_mult_conv, r(mu) = sum over x y == mu of a(x) b(y), a cyclic convolution of
-length p-1 in the discrete-log domain (Rader's primitive-root reindexing) with
-the mass at 0 carried explicitly. E and D are sums of r^2 for r = (1_U, 1_V)
-and (d, d); N sums r_FG r_FH; I and J are r for (d_W, 1_Z) and (d_X, d_Y).
+route. The optimized route counts on one of two domains.
 
-Each primitive enumerates its support pairs in int64 unless its length n
-exceeds DIRECT_CONV_MAX and the pairs exceed ENUM_PAIRS_PER_POINT * n (both
-measured crossovers); then it takes a float64 FFT of zero-padded power-of-two
-length, rounded only when an a priori error bound from the inputs' norms and
-the length (Percival, Math. Comp. 72, 2003) is below 1/4, else it enumerates.
-Sums of squares use int64 only where no partial sum can overflow.
+The set route takes any multiset of residues and works on length-p count
+tables: diff_counts, the difference table d as a cyclic autocorrelation of
+length p, and _mult_conv, r(mu) = sum over x y == mu of a(x) b(y), a cyclic
+convolution of length p-1 in the discrete-log domain (Rader's primitive-root
+reindexing) with the mass at 0 carried explicitly. E and D are sums of r^2
+for r = (1_U, 1_V) and (d, d); N sums r_FG r_FH; I and J are r for (d_W, 1_Z)
+and (d_X, d_Y).
+
+The class route is taken by d_times, n_triples, i_distribution and
+j_distribution when every set argument is a Subgroup. Write n = p-1 and, for
+a subgroup X of order d_X, m_X = n / d_X. A table invariant under X is a
+function of the class dlog(x) mod m_X; the difference table of X is
+d_X(0) = d_X and d_X(a) = A_X[dlog a mod m_X] for a != 0, where
+A_X[c] = #{u in X, u != 1 : dlog(u - 1) mod m_X == c} are the cyclotomic
+numbers of order m_X (Storer, Cyclotomy and Difference Sets, 1967). For class
+vectors x on Z/m_x and y on Z/m_y, with q = gcd(m_x, m_y) and x|q the fibre
+sum of x onto Z/q, the multiplicative convolution is the length-q cyclic one
+r(mu != 0) = (n / lcm(m_x, m_y)) (x|q * y|q)[dlog mu mod q], and
+n / lcm(m_X, m_Y) = gcd(d_X, d_Y). With 1_Z the class vector of Z (1 at
+class 0) and q = gcd of the two class periods:
+
+    r_XZ(mu != 0) = gcd(d_X, d_Z) A_X|q[dlog mu mod q]    (r for (d_X, 1_Z)),
+    D(G)       = r0^2 + d^3 sum (A * A)^2,  r0 = 2 d^3 - d^2,
+    N(F, G, H) = d_F^2 d_G d_H + sum over mu != 0 of r_GF r_HF,
+    I(0)       = d_W d_Z,  I(lam != 0) = r_WZ(lam),
+    J(mu != 0) = gcd(d_X, d_Y) (A_X|q * A_Y|q)[dlog mu mod q],
+    zero_count = d_X d_Y^2 + d_Y d_X^2 - d_X d_Y:
+
+O(d + m) work and no length-p transform.
+
+Every cyclic convolution, of length p, p-1 or q, enumerates its support
+pairs in int64 unless its length n exceeds DIRECT_CONV_MAX and the pairs
+exceed ENUM_PAIRS_PER_POINT * n (both measured crossovers); then it takes a
+float64 FFT of zero-padded power-of-two length, rounded only when an a priori
+error bound from the inputs' norms and the length (Percival, Math. Comp. 72,
+2003) is below 1/4, else it enumerates. Sums of squares use int64 only where
+no partial sum can overflow.
 """
 
 from __future__ import annotations
@@ -57,7 +83,11 @@ class Distribution:
 def _as_array(s) -> np.ndarray:
     if isinstance(s, Subgroup):
         return s.as_array()
-    return np.asarray(sorted(int(x) for x in s), dtype=np.int64)
+    return np.sort(np.asarray(s, dtype=np.int64))
+
+
+def _is_subgroup(*sets) -> bool:
+    return all(isinstance(s, Subgroup) for s in sets)
 
 
 def _table(p: int, u: np.ndarray) -> np.ndarray:
@@ -117,6 +147,18 @@ def _cyclic_fft(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray | None:
     return np.rint(out).astype(np.int64)
 
 
+def _cyclic_conv(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
+    """Length-n cyclic convolution of non-negative integer vectors: an FFT
+    where it pays and its bound allows, else the support pairs enumerated."""
+    sx = np.flatnonzero(x)
+    sy = sx if y is x else np.flatnonzero(y)
+    if _transform_pays(len(sx) * len(sy), n):
+        conv = _cyclic_fft(x, y, n)
+        if conv is not None:
+            return conv
+    return _pair_sums(n, sx, x[sx], sy, y[sy], np.add)
+
+
 def diff_counts(p: int, u) -> np.ndarray:
     """d[a] = #{(x, y) in U^2 : x - y == a mod p}, length-p table: the autocorrelation."""
     u = np.asarray(u, dtype=np.int64)
@@ -146,6 +188,45 @@ def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return r
 
 
+def _classes(ctx: FieldCtx, sub: Subgroup) -> np.ndarray:
+    """A on Z/m, m = (p-1)/|sub|, with d(a) = A[dlog a mod m] for a != 0:
+    the cyclotomic numbers of order m."""
+    m = (ctx.p - 1) // sub.order
+    u = sub.as_array()
+    return np.bincount(ctx.dlog[u[u != 1] - 1] % m, minlength=m)
+
+
+def _fold(x: np.ndarray, q: int) -> np.ndarray:
+    """Fibre sum of a vector on Z/len(x) onto Z/q, for q dividing len(x)."""
+    return x.reshape(-1, q).sum(axis=0)
+
+
+def _class_r(ctx: FieldCtx, x: Subgroup, z: Subgroup) -> np.ndarray:
+    """r_XZ(mu != 0) = sum over a z == mu of d_X(a) 1_Z(z) on Z/gcd(m_X, m_Z)."""
+    n = ctx.p - 1
+    q = math.gcd(n // x.order, n // z.order)
+    return math.gcd(x.order, z.order) * _fold(_classes(ctx, x), q)
+
+
+def _class_dot(n: int, r1: np.ndarray, r2: np.ndarray) -> int:
+    """Sum over t in Z/n of r1[t mod len(r1)] r2[t mod len(r2)]."""
+    g = math.gcd(len(r1), len(r2))
+    return n // math.lcm(len(r1), len(r2)) * _dot(_fold(r1, g), _fold(r2, g))
+
+
+def _on_residues(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
+    """Length-p table t with t[0] = 0 and t[a] = v[dlog a mod len(v)]."""
+    return np.concatenate(([0], v[ctx.dlog[1:] % len(v)]))
+
+
+def _distribution(r: np.ndarray, zero_count: int = 0) -> Distribution:
+    """The nonzero entries of a count table, keyed by residue in increasing order."""
+    keys = np.flatnonzero(r)
+    values = r[keys].tolist()
+    table = dict(zip(keys.tolist(), values))
+    return Distribution(table=table, total=sum(values), zero_count=zero_count)
+
+
 def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
     """Solutions of u1 v1 == u2 v2 mod p with u_i in U, v_i in V."""
     p = ctx.p
@@ -172,28 +253,32 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
 def shifted_energy(ctx: FieldCtx, g: Subgroup, lam: int, method: str = "optimized") -> CountValue:
     """mult_energy of the shifted set G + lam (which may contain 0)."""
     shifted = (g.as_array() + lam) % ctx.p
-    return mult_energy(ctx, shifted.tolist(), shifted.tolist(), method=method)
+    return mult_energy(ctx, shifted, shifted, method=method)
 
 
 def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     """Solutions of (u1-v1)(u2-v2) == (u3-v3)(u4-v4) over U, all eight free.
 
-    Both routes go through the difference table d(a); they differ in how the
-    multiplicative convolution r(mu) = sum over ab == mu of d(a) d(b) is
-    formed: the oracle accumulates the outer product of supports directly, the
-    optimized route is mult_conv(d, d). The answer is sum of r(mu)^2.
+    Every route goes through the difference table d(a) and the answer is the
+    sum of r(mu)^2 for r(mu) = sum over ab == mu of d(a) d(b). The oracle
+    accumulates the outer product of supports directly; the optimized route
+    is the class route for a subgroup, else mult_conv(d, d).
     """
     p = ctx.p
-    u = _as_array(us)
-    d = diff_counts(p, u)
-    d0 = int(d[0])
-    # pairs (a, b) with ab == 0: a == 0 or b == 0
-    total_mass = len(u) * len(u)
-    r0 = 2 * d0 * total_mass - d0 * d0
+    if method == "optimized" and _is_subgroup(us):
+        d = us.order
+        a = _classes(ctx, us)
+        conv = _cyclic_conv(a, a, len(a))
+        r0 = 2 * d**3 - d * d  # r(0): 2 d(0) |G|^2 - d(0)^2, d(0) = |G|
+        return CountValue(count=r0 * r0 + d**3 * _dot(conv, conv), method=method)
 
+    u = _as_array(us)
     if method == "oracle":
         if len(u) > DTIMES_ORACLE_MAX:
             raise BudgetExceeded(f"|U|={len(u)} exceeds oracle cap {DTIMES_ORACLE_MAX}")
+        d = diff_counts(p, u)
+        d0 = int(d[0])
+        r0 = 2 * d0 * len(u) ** 2 - d0 * d0  # pairs (a, b) with ab == 0: a == 0 or b == 0
         support = np.nonzero(d[1:])[0] + 1
         weights = d[support]
         r = np.zeros(p, dtype=np.int64)
@@ -204,7 +289,8 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     if method == "optimized":
         if len(u) > DTIMES_OPT_MAX or p > DTIMES_OPT_P_MAX:
             raise BudgetExceeded(f"|U|={len(u)}, p={p} out of optimized range")
-        r = _mult_conv(ctx, d, d)  # r[0] == r0
+        d = diff_counts(p, u)
+        r = _mult_conv(ctx, d, d)  # r[0] == 2 d(0) |U|^2 - d(0)^2
         return CountValue(count=_dot(r, r), method=method)
 
     raise ValueError(f"unknown method {method!r}")
@@ -229,6 +315,11 @@ def n_triples(
             raise BudgetExceeded(
                 f"triple tables {left_n}/{right_n} exceed {FREQ_BUDGET}"
             )
+        if _is_subgroup(fs, gs, hs):
+            r_fg = _class_r(ctx, gs, fs)
+            r_fh = r_fg if len(g) == len(h) else _class_r(ctx, hs, fs)  # one subgroup per order
+            count = len(f) ** 2 * len(g) * len(h) + _class_dot(p - 1, r_fg, r_fh)
+            return CountValue(count=count, method=method)
         table_f = _table(p, f)
         r_fg = _mult_conv(ctx, table_f, diff_counts(p, g))
         r_fh = r_fg if np.array_equal(g, h) else _mult_conv(ctx, table_f, diff_counts(p, h))
@@ -260,9 +351,16 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
     if method == "optimized":
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"J frequency product {mass} exceeds {FREQ_BUDGET}")
-        r = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
-        zero_count = int(r[0])
-        r[0] = 0
+        if _is_subgroup(xs, ys):
+            r_xy = _class_r(ctx, xs, ys)
+            q = len(r_xy)
+            r = _on_residues(ctx, _cyclic_conv(r_xy, _fold(_classes(ctx, ys), q), q))
+            dx, dy = len(x), len(y)
+            zero_count = dx * dy * dy + dy * dx * dx - dx * dy
+        else:
+            r = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
+            zero_count = int(r[0])
+            r[0] = 0
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"J oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
@@ -279,8 +377,7 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
                     r[mu] += 1
     else:
         raise ValueError(f"unknown method {method!r}")
-    table = {i: int(r[i]) for i in np.flatnonzero(r).tolist()}
-    return Distribution(table=table, total=sum(table.values()), zero_count=zero_count)
+    return _distribution(r, zero_count)
 
 
 @dataclass(frozen=True)
@@ -377,7 +474,11 @@ def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribu
     if method == "optimized":
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"I frequency product {mass} exceeds {FREQ_BUDGET}")
-        r = _mult_conv(ctx, diff_counts(p, w), _table(p, z))
+        if _is_subgroup(ws, zs):
+            r = _on_residues(ctx, _class_r(ctx, ws, zs))
+            r[0] = len(w) * len(z)
+        else:
+            r = _mult_conv(ctx, diff_counts(p, w), _table(p, z))
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"I oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
@@ -389,5 +490,4 @@ def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribu
                     r[zz * (w1 - w2) % p] += 1
     else:
         raise ValueError(f"unknown method {method!r}")
-    table = {i: int(r[i]) for i in np.flatnonzero(r).tolist()}
-    return Distribution(table=table, total=sum(table.values()), zero_count=0)
+    return _distribution(r)

@@ -121,17 +121,18 @@ def test_diff_counts_matches_pair_enumeration():
 
 
 def test_d_times_fft_path_matches_full_group_closed_form():
-    # order 4098 > the direct-convolution cutoff, so this walks the FFT route
+    # as a list, order 4098 > the direct-convolution cutoff walks the FFT
+    # route; as a Subgroup it takes the class route on Z/1
     p = 4099
     ctx = make_field_ctx(p)
     sub = subgroup_of_order(ctx, p - 1)
-    value = d_times(ctx, sub).count
     # full group: d(0) = p-1 and d(c) = p-2 for every nonzero c, so the
     # product-frequency table is uniform and the count has a closed form
     n = p - 1
     r0 = 2 * (p - 1) * n**2 - (p - 1) ** 2
     r_nonzero = n * (p - 2) ** 2
-    assert value == r0**2 + n * r_nonzero**2
+    for us in (sub, list(sub.elements)):
+        assert d_times(ctx, us).count == r0**2 + n * r_nonzero**2
 
 
 def test_shifted_energy_contains_zero_case(ctx13):
@@ -233,6 +234,107 @@ def test_j_distribution_mass_and_frozen_square_sum(ctx13):
     oracle = j_distribution(ctx13, x, y, method="oracle")
     assert oracle.table == dist.table
     assert oracle.zero_count == dist.zero_count
+
+
+def _class_and_set_routes_agree(ctx, subs, oracle_max: int = 0):
+    """Every counter with a class route, on Subgroup inputs and on the same
+    elements as lists (the set route), for the given subgroups: d_times on
+    each, n_triples on each ordered triple, I and J on each ordered pair.
+
+    The oracle joins where its budget allows and its enumeration (solutions
+    compared for N, Python-loop steps for I and J) is at most oracle_max."""
+    els = {s.order: list(s.elements) for s in subs}
+    for s in subs:
+        value = d_times(ctx, s).count
+        assert value == d_times(ctx, els[s.order]).count
+        if oracle_max and s.order <= energy.DTIMES_ORACLE_MAX:
+            assert value == d_times(ctx, s, method="oracle").count
+    for f in subs:
+        for g in subs:
+            for h in subs:
+                value = n_triples(ctx, f, g, h).count
+                assert value == n_triples(ctx, els[f.order], els[g.order], els[h.order]).count
+                left, right = f.order * g.order**2, f.order * h.order**2
+                if max(left, right) <= energy.ORACLE_PAIR_BUDGET and left * right <= oracle_max:
+                    assert value == n_triples(ctx, f, g, h, method="oracle").count
+            dist = i_distribution(ctx, f, g)
+            on_set = i_distribution(ctx, els[f.order], els[g.order])
+            assert dist == on_set and list(dist.table) == list(on_set.table)
+            if f.order**2 * g.order <= oracle_max:
+                assert dist == i_distribution(ctx, f, g, method="oracle")
+            if f.order**2 * g.order**2 > energy.FREQ_BUDGET:
+                continue
+            dist = j_distribution(ctx, f, g)
+            on_set = j_distribution(ctx, els[f.order], els[g.order])
+            assert dist == on_set and list(dist.table) == list(on_set.table)
+            if f.order**2 * g.order**2 <= oracle_max:
+                assert dist == j_distribution(ctx, f, g, method="oracle")
+
+
+def test_class_route_matches_set_route_and_oracle_on_all_subgroups():
+    # every subgroup, ordered triple and ordered pair for p < 140, with the
+    # oracle; p < 50 also with the convolutions pinned to each side of the
+    # route choice (the oracle does not depend on it)
+    primes = [p for p in range(3, 140) if all(p % q for q in range(2, p))]
+    for route in each_route():
+        for p in primes if route is None else [p for p in primes if p < 50]:
+            ctx = ctx_for(p)
+            _class_and_set_routes_agree(ctx, all_subgroups(ctx), 5_000 if route is None else 0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    p=st.sampled_from([181, 241, 421, 601, 1009, 1201, 1801, 2003]),
+    data=st.data(),
+)
+def test_class_route_matches_set_route_property(p, data):
+    ctx = ctx_for(p)
+    orders = [d for d in range(1, p) if (p - 1) % d == 0 and d <= 200]
+    picked = data.draw(st.lists(st.sampled_from(orders), min_size=1, max_size=3, unique=True))
+    for route in each_route():
+        subs = [subgroup_of_order(ctx, d) for d in picked]
+        _class_and_set_routes_agree(ctx, subs, 5_000 if route is None else 0)
+
+
+def _raises_budget(call) -> bool:
+    try:
+        call()
+    except BudgetExceeded:
+        return True
+    return False
+
+
+def test_class_route_raises_budget_exceeded_where_the_set_route_does(monkeypatch):
+    # budgets small enough to split the subgroups of p = 61 both ways
+    monkeypatch.setattr(energy, "FREQ_BUDGET", 3_000)
+    ctx = ctx_for(61)
+    subs = all_subgroups(ctx)
+    raised = []
+    for f in subs:
+        for g in subs:
+            pairs = [(f, g), (list(f.elements), list(g.elements))]
+            for fn in (i_distribution, j_distribution):
+                outcome = [_raises_budget(lambda: fn(ctx, *args)) for args in pairs]
+                assert outcome[0] == outcome[1]
+                raised.append(outcome[0])
+            for h in subs:
+                triples = [(f, g, h), (list(f.elements), list(g.elements), list(h.elements))]
+                outcome = [_raises_budget(lambda: n_triples(ctx, *args)) for args in triples]
+                assert outcome[0] == outcome[1]
+                raised.append(outcome[0])
+    assert any(raised) and not all(raised)
+
+
+def test_d_times_class_route_above_the_set_route_p_cap(monkeypatch):
+    p = 1_000_033  # just above DTIMES_OPT_P_MAX; 96 divides p - 1
+    assert p > energy.DTIMES_OPT_P_MAX
+    ctx = make_field_ctx(p)
+    sub = subgroup_of_order(ctx, 96)
+    value = d_times(ctx, sub).count  # the class route has no p cap
+    with pytest.raises(BudgetExceeded):
+        d_times(ctx, list(sub.elements))
+    monkeypatch.setattr(energy, "DTIMES_OPT_P_MAX", p)
+    assert value == d_times(ctx, list(sub.elements)).count
 
 
 def test_product_set_multiplicative_span(ctx31):
