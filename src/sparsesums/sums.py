@@ -18,6 +18,14 @@ rounded sum, the value math.fsum gives, independent of term order and chunk
 size. Large quadrilinear sums use numpy pairwise block sums combined exactly
 across blocks, which keeps the rounding error orders of magnitude below the
 1e-6 tolerances used by the verification suites.
+
+`sum_decomposed` stores the same terms once in exponent order, twice over:
+tt[t] = T(g**t) for t in 0..2(p-1)-1. For v = g**s, T(v*w) = tt[s + dlog w],
+so the row of v over w = 1..p-1 in residue order is one gather
+tt[s : s+p-1][dlog[1:]]: no index arithmetic per row, memory O(p) whatever
+the number of rows. The row holds the terms a residue-order table would give,
+in the same order, and each row is summed by the same numpy sum, so the
+result does not depend on how the rows are gathered.
 """
 
 from __future__ import annotations
@@ -33,7 +41,6 @@ from .field import FieldCtx, SparsePoly
 
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
-GATHER_BLOCK = 2**22  # terms gathered at once by sum_decomposed
 CHUNK = 2**16  # values per chunk; CHUNK * 2**_LEVEL_BITS <= 2**62 keeps level sums in int64
 _LEVEL_BITS = 46
 
@@ -169,22 +176,9 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
         yield start, out[:m]
 
 
-def term_array(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> np.ndarray:
-    """chi(x) * e_p(Psi(x)) indexed by residue x (entry 0 is 0)."""
-    out = np.zeros(ctx.p, dtype=np.complex128)
-    for start, terms in _t_terms(ctx, psi, chi):
-        out[ctx.g_pow[start : start + len(terms)]] = terms
-    return out
-
-
 def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     """S = sum over x in F_p^* of chi(x) e_p(Psi(x))."""
     return _make_sum(_csum(terms for _, terms in _t_terms(ctx, psi, chi)), ctx.p - 1)
-
-
-def _gather_rows(p: int) -> int:
-    """Rows of p-1 terms per sum_decomposed block: about GATHER_BLOCK terms, at least one row."""
-    return max(1, GATHER_BLOCK // (p - 1))
 
 
 def sum_decomposed(
@@ -197,6 +191,12 @@ def sum_decomposed(
     exponents with p-1. Replacing w by w(xyz)^-1 shows this equals sum_exact;
     the evaluation here performs the quadruple summation (grouped by the value
     of xyz) rather than using that identity.
+
+    Each inner sum over w is the numpy sum of one row gathered from the
+    exponent-order terms at the offset dlog(xyz), w in residue order, so the
+    row and its bits are those of a residue-order table; the rows, weighted by
+    the number of (x, y, z) with that product, are summed exactly. Memory is
+    O(p) terms, independent of the number of rows.
     """
     from .subgroups import subgroup_of_order
 
@@ -214,18 +214,16 @@ def sum_decomposed(
     gc_ = subgroup_of_order(ctx, c).as_array()
     xy = (ga[:, None] * gb[None, :]).reshape(-1) % p
     xyz = (xy[:, None] * gc_[None, :]).reshape(-1) % p
-    counts = np.bincount(xyz, minlength=p)
+    vs, counts = np.unique(xyz, return_counts=True)
 
-    terms = term_array(ctx, psi, chi)
-    ws = np.arange(1, p, dtype=np.int64)
-    vs = np.nonzero(counts)[0]
-    partials = []
-    rows = _gather_rows(p)
-    for start in range(0, len(vs), rows):
-        block = vs[start : start + rows]
-        inner = terms[(block[:, None] * ws[None, :]) % p].sum(axis=1)
-        partials.append(inner * counts[block])
-    total = _csum(partials)
+    n = p - 1
+    tt = np.empty(2 * n, dtype=np.complex128)  # tt[t] = T(g**t), twice over
+    for start, terms in _t_terms(ctx, psi, chi):
+        tt[start : start + len(terms)] = terms
+    tt[n:] = tt[:n]
+    dw = ctx.dlog[1:]  # w = 1..p-1 in residue order
+    inner = np.array([tt[s : s + n][dw].sum() for s in ctx.dlog[vs].tolist()])
+    total = _csum([inner * counts])
     return _make_sum(total / (a * b * c), a * b * c * (p - 1))
 
 

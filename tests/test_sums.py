@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from math import copysign, fsum, gcd, ldexp, sqrt
 
 import numpy as np
@@ -22,7 +23,7 @@ from sparsesums import (
     unit_weights,
 )
 from sparsesums import sums
-from sparsesums.sums import _ExactSum, term_array
+from sparsesums.sums import _ExactSum, _t_terms
 from conftest import ctx_for
 
 
@@ -129,6 +130,14 @@ def _bits(z) -> bytes:
     return np.asarray(z, dtype=np.complex128).tobytes()
 
 
+def term_array(ctx, psi, chi) -> np.ndarray:
+    """chi(x) * e_p(Psi(x)) indexed by residue x (entry 0 is 0): `_t_terms` scattered by g_pow."""
+    out = np.zeros(ctx.p, dtype=np.complex128)
+    for start, terms in _t_terms(ctx, psi, chi):
+        out[ctx.g_pow[start : start + len(terms)]] = terms
+    return out
+
+
 @pytest.mark.parametrize(
     "p, chunks",
     [
@@ -220,23 +229,94 @@ def test_decomposition_term_count_and_budget(ctx13):
         sum_decomposed(ctx13, psi, CharacterIndex(0), budget=10)
 
 
-def test_decomposition_gather_blocks_are_sized_by_terms(monkeypatch):
-    from sparsesums import sums
+def _decomposed_by_block_gather(ctx, psi, chi) -> complex:
+    """The residue-order block gather that sum_decomposed once ran: its bits are the spec.
 
-    for p in (3, 13, 1801, 16411, 100003, 1000003, 9959041, 2**31 - 1):
-        rows = sums._gather_rows(p)
-        assert rows >= 1
-        assert rows * (p - 1) <= max(sums.GATHER_BLOCK, p - 1)
-        assert (rows + 1) * (p - 1) > sums.GATHER_BLOCK
-    # the value does not depend on the block size: rows still sum all of w
-    p = 1801
+    Rows of T(v*w) for w = 1..p-1, gathered from the residue-order term array
+    about 2**22 terms at a time, each row summed by numpy, weighted by the
+    number of (x, y, z) with xyz = v and summed exactly.
+    """
+    p = ctx.p
+    a, b, c = (gcd(e, p - 1) for e in psi.exponents[:3])
+    ga, gb, gc_ = (subgroup_of_order(ctx, d).as_array() for d in (a, b, c))
+    xy = (ga[:, None] * gb[None, :]).reshape(-1) % p
+    xyz = (xy[:, None] * gc_[None, :]).reshape(-1) % p
+    counts = np.bincount(xyz, minlength=p)
+    terms = term_array(ctx, psi, chi)
+    ws = np.arange(1, p, dtype=np.int64)
+    vs = np.nonzero(counts)[0]
+    rows = max(1, 2**22 // (p - 1))
+    partials = []
+    for start in range(0, len(vs), rows):
+        block = vs[start : start + rows]
+        inner = terms[(block[:, None] * ws[None, :]) % p].sum(axis=1)
+        partials.append(inner * counts[block])
+    return sums._csum(partials) / (a * b * c)
+
+
+def _gcd_structured_quadrinomial(rng, p: int, gcds) -> SparsePoly | None:
+    """Quadrinomial whose first three exponents have exactly the given gcds with p-1.
+
+    None when the gcds repeat more often than p-1 has exponents with that gcd.
+    """
+    n = p - 1
+    exps = []
+    for d in list(gcds) + [1]:
+        units = [u for u in range(1, n // d) if gcd(u, n // d) == 1 and d * u not in exps]
+        if not units:
+            return None
+        exps.append(d * int(rng.choice(units)))
+    return SparsePoly.from_terms(p, list(zip(rng.integers(1, p, 4).tolist(), exps)))
+
+
+def _decomposition_cases():
+    primes = [q for q in range(11, 301) if all(q % d for d in range(2, int(q**0.5) + 1))]
+    for p in primes:  # the verify-sweep range
+        rng = np.random.default_rng(p)
+        divisors = [d for d in range(1, p - 1) if (p - 1) % d == 0]
+        for _ in range(3):
+            psi = None
+            while psi is None:
+                psi = _gcd_structured_quadrinomial(rng, p, rng.choice(divisors, 3).tolist())
+            for j in (0, 1, int(rng.integers(2, p - 1))):
+                yield p, psi, j
+    # p-1 = 16410 lies above the 16,384 terms (256 KiB) where numpy's in-place
+    # elision once moved bits; p = 100801 is the large-p rung, 720 rows
+    for p, gcds in ((1801, (9, 10, 4)), (16411, (6, 10, 15)), (100801, (16, 18, 10))):
+        rng = np.random.default_rng(p)
+        yield p, _gcd_structured_quadrinomial(rng, p, gcds), int(rng.integers(2, p - 1))
+
+
+def test_decomposition_matches_residue_order_block_gather_bit_for_bit():
+    seen = 0
+    for p, psi, j in _decomposition_cases():
+        ctx = ctx_for(p)
+        chi = CharacterIndex(j)
+        assert _bits(sum_decomposed(ctx, psi, chi).value) == _bits(
+            _decomposed_by_block_gather(ctx, psi, chi)
+        ), (p, psi.terms, j)
+        seen += 1
+    assert seen == 58 * 3 * 3 + 3  # primes x quadrinomials x characters, then the three large p
+
+
+def test_decomposition_memory_is_linear_in_p_not_in_rows():
+    p = 100801
     ctx = ctx_for(p)
-    psi = SparsePoly.from_terms(p, [(3, 9 * 7), (5, 10 * 11), (7, 4 * 13), (2, 17)])
-    chi = CharacterIndex(5)
-    value = sum_decomposed(ctx, psi, chi).value
-    for rows in (1, 7, 256):
-        monkeypatch.setattr(sums, "GATHER_BLOCK", rows * (p - 1))
-        assert sum_decomposed(ctx, psi, chi).value == value
+    rng = np.random.default_rng(7)
+    peaks = {}
+    for gcds in ((2, 3, 5), (16, 18, 10)):  # lcm(a, b, c) = 30 and 720 rows
+        psi = _gcd_structured_quadrinomial(rng, p, gcds)
+        chi = CharacterIndex(3)
+        sum_decomposed(ctx, psi, chi)  # subgroups and caches warm, outside the trace
+        tracemalloc.start()
+        try:
+            sum_decomposed(ctx, psi, chi)
+            peaks[gcds] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    small, large = peaks[(2, 3, 5)], peaks[(16, 18, 10)]
+    assert large < 16 * 2**20
+    assert large < small + 2**20  # 24x the rows, no more memory
 
 
 def test_decomposition_needs_four_terms(ctx13):
