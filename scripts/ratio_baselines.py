@@ -1,9 +1,10 @@
 """Regenerate the frozen observed/bound ratio maxima used by the test suite.
 
-Scans every subgroup of every prime up to the limit, records the worst
-observed/bound ratio for the three counting quantities, and writes the result
-to tests/data/ratio_baselines.json. Rerun after any intentional change to the
-counting routines or the bound formulas, and review the diff by hand.
+Reduces the ratio suite's records on every subgroup of every odd prime up to
+the limit (`sweep.ratio_scan`) to the worst observed/bound ratio of the three
+counting quantities, and writes the result to tests/data/ratio_baselines.json.
+Rerun after any intentional change to the counting routines or the bound
+formulas, and review the diff by hand.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import time
 from pathlib import Path
 
-from sparsesums.sweep import ratio_scan
+from sparsesums.sweep import DEFAULT_BUDGETS, ratio_scan
 
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "ratio_baselines.json"
 
@@ -21,7 +22,7 @@ DEFAULT_OUT = Path(__file__).resolve().parent.parent / "tests" / "data" / "ratio
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p-limit", type=int, default=2003)
-    ap.add_argument("--triple-budget", type=int, default=4_000_000)
+    ap.add_argument("--triple-budget", type=int, default=DEFAULT_BUDGETS["ratio_triple"])
     ap.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = ap.parse_args()
 

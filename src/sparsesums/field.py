@@ -16,7 +16,7 @@ signed 64-bit intermediate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import isqrt
 
 import numpy as np
 
@@ -65,6 +65,17 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """Divisors of n >= 1 in ascending order, by trial division up to isqrt(n)."""
+    small, large = [], []
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+    return small + large[::-1]
 
 
 def smallest_primitive_root(p: int) -> int:

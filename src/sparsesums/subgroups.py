@@ -20,7 +20,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import NonUniformImage, NotADivisor
-from .field import FieldCtx
+from .field import FieldCtx, divisors
 
 
 @dataclass(frozen=True)
@@ -41,16 +41,13 @@ def subgroup_of_order(ctx: FieldCtx, d: int) -> Subgroup:
     """Elements x with x**d == 1 mod p, i.e. the image of g**((p-1)/d)."""
     if d < 1 or (ctx.p - 1) % d != 0:
         raise NotADivisor(f"order {d} does not divide p-1={ctx.p - 1}")
-    step = (ctx.p - 1) // d
-    elems = ctx.g_pow[np.arange(d, dtype=np.int64) * step]
-    return Subgroup(order=d, elements=tuple(np.sort(elems).tolist()))
+    elems = np.sort(ctx.g_pow[:: (ctx.p - 1) // d])  # g**(k (p-1)/d), k < d
+    return Subgroup(order=d, elements=tuple(elems.tolist()))
 
 
 def all_subgroups(ctx: FieldCtx) -> list[Subgroup]:
     """Every subgroup of F_p^*, ordered by increasing order."""
-    n = ctx.p - 1
-    divisors = sorted(d for d in range(1, n + 1) if n % d == 0)
-    return [subgroup_of_order(ctx, d) for d in divisors]
+    return [subgroup_of_order(ctx, d) for d in divisors(ctx.p - 1)]
 
 
 def product_set(ctx: FieldCtx, subgroups: list[Subgroup]) -> Subgroup:

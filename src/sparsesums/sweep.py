@@ -1,11 +1,13 @@
 """Batch driver: config ingestion, instance generation, suite execution, I/O.
 
 A sweep turns a SweepConfig into a flat list of tasks, each producing exactly
-one ResultRecord-shaped dict. Tasks are generated up front in a deterministic
-order, executed serially or by a process pool, and re-sorted by index before
-writing, so workers=1 and workers=N produce identical output. JSONL output is
-byte-identical across runs of the same (config, seed) except for the header
-line, which carries a timestamp. Records never include wall times.
+one ResultRecord-shaped dict; a task `(fn, *args)` carries its function.
+Tasks are generated up front in a deterministic order, executed serially or
+by a process pool, and re-sorted by index before writing, so workers=1 and
+workers=N produce identical output. JSONL output is byte-identical across runs
+of the same (config, seed) except for the header line, which carries a
+timestamp. Records never include wall times. `ratio_scan` is a streaming
+reduction over the ratio suite's records, not a second evaluation path.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     SparseSumsError,
     UnknownKind,
 )
-from .field import MAX_MODULUS, SparsePoly, is_prime, make_field_ctx
+from .field import MAX_MODULUS, SparsePoly, divisors, is_prime, make_field_ctx
 from .subgroups import subgroup_of_order
 from .sums import (
     DECOMPOSITION_BUDGET,
@@ -74,7 +76,9 @@ DEFAULT_BUDGETS = {
 }
 
 
-@lru_cache(maxsize=64)
+# One entry: tasks come grouped by prime and pool workers get their chunks in
+# task order, so an evicted context (48 B per residue) is not asked for again.
+@lru_cache(maxsize=1)
 def cached_ctx(p: int):
     return make_field_ctx(p)
 
@@ -93,10 +97,7 @@ class SweepConfig:
     mode: str
 
     def budget(self, name: str) -> int:
-        for key, value in self.budgets:
-            if key == name:
-                return value
-        return DEFAULT_BUDGETS[name]
+        return dict(self.budgets).get(name, DEFAULT_BUDGETS[name])
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepConfig":
@@ -275,8 +276,7 @@ def gcd_structured_quadrinomial(p: int, seed: int, index: int) -> SparsePoly:
     """
     rng = _rng(seed, p, index, 0x0002)
     n = p - 1
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    large = [d for d in divisors if d * d >= n and d < n] or [divisors[-1]]
+    large = [d for d in divisors(n) if d * d >= n and d < n] or [n]
     for _ in range(100):
         exps = []
         for _ in range(3):
@@ -314,14 +314,14 @@ def characters_for(cfg: SweepConfig, p: int, poly_index: int) -> list[int]:
             out.append(int(_rng(cfg.seed, p, poly_index, pos, 0x0003).integers(0, p - 1)))
         elif c == "all-orders":
             # One character of each multiplicative order d | p-1: chi_{(p-1)/d}.
-            out.extend((p - 1) // d % (p - 1) for d in range(1, p) if (p - 1) % d == 0)
+            out.extend((p - 1) // d % (p - 1) for d in divisors(p - 1))
         else:
             out.append(c % (p - 1))
     return list(dict.fromkeys(out))
 
 
 def generate_tasks(cfg: SweepConfig) -> list[tuple]:
-    """Deterministic flat task list; each task yields exactly one record."""
+    """Deterministic flat list of `(fn, *args)` tasks; each yields exactly one record."""
     tasks: list[tuple] = []
     poly_suites = [s for s in cfg.suites if s in ("identity", "weil", "bounds")]
     for p in cfg.primes:
@@ -329,46 +329,44 @@ def generate_tasks(cfg: SweepConfig) -> list[tuple]:
             for i, psi in enumerate(polynomials_for(cfg, p)):
                 for j in characters_for(cfg, p, i):
                     if "identity" in cfg.suites:
-                        tasks.append(("identity", p, str(psi), j, cfg.budget("decomposition")))
+                        tasks.append((_task_identity, p, str(psi), j, cfg.budget("decomposition")))
                     if "weil" in cfg.suites:
-                        tasks.append(("weil", p, str(psi), j))
+                        tasks.append((_task_weil, p, str(psi), j))
                     if "bounds" in cfg.suites:
-                        tasks.append(("bounds", p, str(psi), j, cfg.mode))
+                        tasks.append((_task_bounds, p, str(psi), j, cfg.mode))
         if "bilinear" in cfg.suites:
             for i in range(2):
-                tasks.append(("bilinear", p, cfg.seed, i))
-        divisors = [d for d in range(1, p) if (p - 1) % d == 0]
+                tasks.append((_task_bilinear, p, cfg.seed, i))
+        divs = divisors(p - 1)
         if "energy" in cfg.suites:
-            for d in divisors:
-                tasks.append(("energy_cube", p, d))
+            for d in divs:
+                tasks.append((_task_energy_cube, p, d))
                 if d <= DTIMES_ORACLE_MAX:
-                    tasks.append(("energy_dtimes", p, d))
-            for dw, dz in zip(divisors, divisors[1:]):
-                tasks.append(("energy_idist", p, dw, dz))
-                tasks.append(("energy_jdist", p, dw, dz))
+                    tasks.append((_task_energy_dtimes, p, d))
+            for dw, dz in zip(divs, divs[1:]):
+                tasks.append((_task_energy_idist, p, dw, dz))
+                tasks.append((_task_energy_jdist, p, dw, dz))
         if "cauchy" in cfg.suites:
             # Unbiased seeded sample over all size-eligible triples; a skewed
             # pick (say, F trivial only) would miss the failing region of the
             # collapsed inequality and make this suite vacuous.
             eligible = [
                 (df, dg, dh)
-                for df in divisors
-                for dg in divisors
-                for dh in divisors
+                for df in divs
+                for dg in divs
+                for dh in divs
                 if dg >= dh and df * dg * dg <= 200_000 and df * dh * dh <= 200_000
             ]
             rng = _rng(cfg.seed, p, 0x0005)
             take = min(12, len(eligible))
             for i in sorted(rng.choice(len(eligible), size=take, replace=False).tolist()):
-                tasks.append(("cauchy", p, *eligible[i]))
+                tasks.append((_task_cauchy, p, *eligible[i]))
         if "ratio" in cfg.suites:
-            for d in divisors:
-                if d < 2:
-                    continue
-                tasks.append(("ratio_dx", p, d, cfg.ratio_ceiling))
-                tasks.append(("ratio_shifted", p, d, cfg.ratio_ceiling))
+            for d in divs[1:]:
+                tasks.append((_task_ratio_dx, p, d, cfg.ratio_ceiling))
+                tasks.append((_task_ratio_shifted, p, d, cfg.ratio_ceiling))
                 tasks.append(
-                    ("ratio_ntriples", p, d, cfg.ratio_ceiling, cfg.budget("ratio_triple"))
+                    (_task_ratio_ntriples, p, d, cfg.ratio_ceiling, cfg.budget("ratio_triple"))
                 )
     return tasks
 
@@ -580,42 +578,16 @@ def _task_ratio_ntriples(p: int, d: int, ceiling: float, triple_budget: int) -> 
     )
 
 
-_TASK_FUNCS = {
-    "identity": _task_identity,
-    "weil": _task_weil,
-    "bounds": _task_bounds,
-    "bilinear": _task_bilinear,
-    "energy_cube": _task_energy_cube,
-    "energy_dtimes": _task_energy_dtimes,
-    "energy_idist": _task_energy_idist,
-    "energy_jdist": _task_energy_jdist,
-    "cauchy": _task_cauchy,
-    "ratio_dx": _task_ratio_dx,
-    "ratio_shifted": _task_ratio_shifted,
-    "ratio_ntriples": _task_ratio_ntriples,
-}
-
-_SUITE_OF = {
-    "energy_cube": "energy",
-    "energy_dtimes": "energy",
-    "energy_idist": "energy",
-    "energy_jdist": "energy",
-    "ratio_dx": "ratio",
-    "ratio_shifted": "ratio",
-    "ratio_ntriples": "ratio",
-}
-
-
 def execute_task(indexed_task: tuple[int, tuple]) -> tuple[int, dict]:
-    idx, task = indexed_task
+    idx, (fn, *args) = indexed_task
     try:
-        record = _TASK_FUNCS[task[0]](*task[1:])
+        record = fn(*args)
     except BudgetExceeded as exc:
         # Blanket skipped-not-failed semantics so mixed-size sweeps complete.
-        suite = _SUITE_OF.get(task[0], task[0])
-        record = _record(suite, task[0], task[1], None, None, None,
-                         {"task": list(map(str, task[1:]))},
-                         skipped=True, reason=str(exc))
+        # Quantity: the task's tag (`_task_energy_jdist` -> energy_jdist).
+        tag = fn.__name__.removeprefix("_task_")
+        record = _record(tag.partition("_")[0], tag, args[0], None, None, None,
+                         {"task": list(map(str, args))}, skipped=True, reason=str(exc))
     record["idx"] = idx
     return idx, record
 
@@ -763,47 +735,34 @@ def load_records(path) -> list[dict]:
     return records
 
 
-def _note_max(slot: dict, ratio: float, p: int, d: int, regime: str) -> None:
-    if ratio > slot["max_ratio"]:
-        slot.update(max_ratio=ratio, p=p, cardinality=d, regime=regime)
+_SCAN_KEYS = {"dx_ratio": "dx", "shifted_energy_ratio": "shifted", "ntriples_ratio": "ntriples"}
 
 
-def ratio_scan(p_limit: int, triple_budget: int = 4_000_000) -> dict:
+def ratio_scan(p_limit: int, triple_budget: int = DEFAULT_BUDGETS["ratio_triple"]) -> dict:
     """Max observed ratio of each counting quantity to its bound expression.
 
-    Scans every subgroup of order >= 2 of every odd prime p <= p_limit:
-    the difference-product count against its two-regime bound, the deviation
-    of shifted energy (shift 1) from |G|^4/p against its three-regime bound,
-    and the diagonal triple count F=G=H against its bound. Diagonal triples
-    whose enumeration would exceed triple_budget are skipped and tallied.
+    A streaming reduction over the ratio suite's records on every subgroup of
+    order >= 2 of every odd prime p <= p_limit: the difference-product count
+    against its two-regime bound, the deviation of shifted energy (shift 1)
+    from |G|^4/p against its three-regime bound, and the diagonal triple count
+    F=G=H against its bound. Records arrive in (p, d) order, so a strict `>`
+    keeps the first maximum. Diagonal triples over triple_budget are skipped
+    and tallied; any other skip raises BudgetExceeded with its reason.
     """
-    out = {
-        "dx": {"max_ratio": 0.0},
-        "shifted": {"max_ratio": 0.0},
-        "ntriples": {"max_ratio": 0.0},
-    }
-    skipped = 0
-    for p in range(3, p_limit + 1):
-        if not is_prime(p):
+    cfg = SweepConfig.from_dict({"primes": {"start": 3, "stop": p_limit}, "suites": ["ratio"],
+                                 "budgets": {"ratio_triple": triple_budget}})
+    out = {key: {"max_ratio": 0.0} for key in _SCAN_KEYS.values()}
+    out["skipped_triples"] = 0
+    for _, rec in map(execute_task, enumerate(generate_tasks(cfg))):
+        if rec["skipped"]:
+            if rec["quantity"] != "ntriples_ratio":
+                raise BudgetExceeded(rec["reason"])
+            out["skipped_triples"] += 1
             continue
-        ctx = make_field_ctx(p)
-        for d in range(2, p):
-            if (p - 1) % d:
-                continue
-            sub = subgroup_of_order(ctx, d)
-            value = d_times(ctx, sub).count
-            bound, regime = dx_bound(p, d)
-            _note_max(out["dx"], value / bound, p, d, regime)
-            energy = shifted_energy(ctx, sub, 1).count
-            sbound, sregime = shifted_energy_bound(p, d)
-            _note_max(out["shifted"], abs(energy - d**4 / p) / sbound, p, d, sregime)
-            if d**3 <= triple_budget:
-                triples = n_triples(ctx, sub, sub, sub).count
-                nbound, nregime = n_triples_bound(p, d, d, d)
-                _note_max(out["ntriples"], triples / nbound, p, d, nregime)
-            else:
-                skipped += 1
-    out["skipped_triples"] = skipped
+        slot, data = out[_SCAN_KEYS[rec["quantity"]]], rec["data"]
+        if data["ratio"] > slot["max_ratio"]:
+            slot.update(max_ratio=data["ratio"], p=rec["p"], cardinality=data["cardinality"],
+                        regime=data["regime"])
     return out
 
 

@@ -16,6 +16,7 @@ from sparsesums import (
     make_field_ctx,
     smallest_primitive_root,
 )
+from sparsesums.field import divisors
 from conftest import ctx_for
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 101, 499]
@@ -29,6 +30,16 @@ def test_is_prime_small():
     assert not is_prime(0)
     assert is_prime(2_147_483_647)  # 2^31 - 1
     assert not is_prime(2_147_483_645)
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 3_001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+    n = 2**31 - 2  # = 2 * 3^2 * 7 * 11 * 31 * 151 * 331
+    out = divisors(n)
+    assert len(out) == 2 * 3 * 2**5
+    assert all(n % d == 0 for d in out)
+    assert out == sorted(set(out)) == sorted(n // d for d in out)
 
 
 def test_smallest_primitive_roots():

@@ -8,6 +8,12 @@ from dataclasses import replace
 import pytest
 
 from sparsesums import ConfigInvalid, SweepConfig, UnknownKind, emit_plot_data, run_sweep, run_verify
+from sparsesums import sweep
+from sparsesums.bounds import dx_bound, n_triples_bound, shifted_energy_bound
+from sparsesums.energy import d_times, n_triples, shifted_energy
+from sparsesums.errors import BudgetExceeded
+from sparsesums.field import is_prime, make_field_ctx
+from sparsesums.subgroups import subgroup_of_order
 from sparsesums.sweep import (
     DEFAULT_CONFIG,
     characters_for,
@@ -218,13 +224,82 @@ def test_emit_plot_data_empty_dataset_is_header_only():
     assert emit_plot_data([], "winner-map") == "# p klmn winner\n"
 
 
-def test_ratio_scan_small_window_matches_direct():
-    out = ratio_scan(61)
-    assert set(out) == {"dx", "shifted", "ntriples", "skipped_triples"}
-    for key in ("dx", "shifted", "ntriples"):
-        assert out[key]["max_ratio"] > 0
-        assert out[key]["max_ratio"] < 100
-        assert out[key]["p"] <= 61
+def _per_subgroup_ratio_loop(p_limit, triple_budget):
+    """The scan as one loop over the subgroups: the specification of ratio_scan."""
+    def note_max(slot, ratio, p, d, regime):
+        if ratio > slot["max_ratio"]:
+            slot.update(max_ratio=ratio, p=p, cardinality=d, regime=regime)
+
+    out = {"dx": {"max_ratio": 0.0}, "shifted": {"max_ratio": 0.0},
+           "ntriples": {"max_ratio": 0.0}}
+    skipped = 0
+    for p in range(3, p_limit + 1):
+        if not is_prime(p):
+            continue
+        ctx = make_field_ctx(p)
+        for d in range(2, p):
+            if (p - 1) % d:
+                continue
+            sub = subgroup_of_order(ctx, d)
+            bound, regime = dx_bound(p, d)
+            note_max(out["dx"], d_times(ctx, sub).count / bound, p, d, regime)
+            energy = shifted_energy(ctx, sub, 1).count
+            sbound, sregime = shifted_energy_bound(p, d)
+            note_max(out["shifted"], abs(energy - d**4 / p) / sbound, p, d, sregime)
+            if d**3 <= triple_budget:
+                nbound, nregime = n_triples_bound(p, d, d, d)
+                note_max(out["ntriples"], n_triples(ctx, sub, sub, sub).count / nbound,
+                         p, d, nregime)
+            else:
+                skipped += 1
+    out["skipped_triples"] = skipped
+    return out
+
+
+def test_ratio_scan_equals_per_subgroup_loop():
+    for p_limit in (61, 211):
+        for triple_budget in (4_000_000, 1_000, 1):
+            expected = _per_subgroup_ratio_loop(p_limit, triple_budget)
+            assert ratio_scan(p_limit, triple_budget) == expected, (p_limit, triple_budget)
+    assert expected["skipped_triples"] > 0
+
+
+def test_ratio_scan_raises_on_any_skip_but_the_triple_budget(monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise BudgetExceeded("shifted energy over budget")
+
+    monkeypatch.setattr(sweep, "shifted_energy", over_budget)
+    with pytest.raises(BudgetExceeded, match="shifted energy over budget"):
+        ratio_scan(61)
+
+
+def test_budget_fallback_record_takes_quantity_and_suite_from_the_task(monkeypatch):
+    def over_budget(*args, **kwargs):
+        raise BudgetExceeded("jdist over budget")
+
+    monkeypatch.setattr(sweep, "j_distribution", over_budget)
+    idx, rec = sweep.execute_task((7, (sweep._task_energy_jdist, 13, 2, 3)))
+    assert idx == 7
+    assert rec == {
+        "schema": 1, "suite": "energy", "quantity": "energy_jdist", "p": 13, "poly": None,
+        "j": None, "passed": None, "skipped": True, "reason": "jdist over budget",
+        "data": {"task": ["13", "2", "3"]}, "idx": 7,
+    }
+
+
+def test_context_cache_holds_one_prime():
+    sweep.cached_ctx.cache_clear()
+    run_sweep(SweepConfig.from_dict({"primes": [11, 13, 17], "seed": 5}))
+    info = sweep.cached_ctx.cache_info()
+    assert info.misses == 3
+    assert info.currsize == 1
+
+
+def test_generate_tasks_near_the_modulus_cap_does_not_scan_p():
+    cfg = SweepConfig.from_dict({"primes": [2_147_483_647], "suites": ["weil"]})
+    tasks = generate_tasks(cfg)
+    assert len(tasks) == 4  # two random polynomials x characters 0, 1
+    assert all(task[0] is sweep._task_weil and task[1] == 2_147_483_647 for task in tasks)
 
 
 def test_bounds_klmn_is_exact_past_float_precision():
