@@ -1,16 +1,24 @@
 """Exact combinatorial counts: multiplicative energy, difference-product counts.
 
 Every quantity has two routes that must agree to the integer: an oracle
-(brute-force comparison or direct loops, heavily size-gated) and an optimized
-route. The optimized route counts on one of two domains.
+(brute-force comparison or direct enumeration, heavily size-gated) and an
+optimized route. The d_times oracle enumerates all pairs of U for its
+difference table and the outer product of that table's support in blocks of
+ORACLE_BLOCK_PAIRS products, one np.add.at per block; it calls none of the
+optimized primitives below. The optimized route counts on one of two domains.
 
 The set route takes any multiset of residues and works on length-p count
 tables: diff_counts, the difference table d as a cyclic autocorrelation of
 length p, and _mult_conv, r(mu) = sum over x y == mu of a(x) b(y), a cyclic
 convolution of length p-1 in the discrete-log domain (Rader's primitive-root
-reindexing) with the mass at 0 carried explicitly. E and D are sums of r^2
-for r = (1_U, 1_V) and (d, d); N sums r_FG r_FH; I and J are r for (d_W, 1_Z)
-and (d_X, d_Y).
+reindexing) with the mass at 0 carried explicitly. D is the sum of r^2 for
+r = (d, d); N sums r_FG r_FH; I and J are r for (d_W, 1_Z) and (d_X, d_Y).
+The energy E(U, V) needs no residue table: with z_U, z_V the multiplicities
+of 0, r(0) = z_U |V| + z_V |U| - z_U z_V, and r(mu != 0) is counted on the
+exponents dlog(u), dlog(v) of the nonzero elements, as the pair sums mod p-1
+(a bincount) or their length p-1 cyclic convolution where a transform pays;
+E = r(0)^2 + the sum of squares of that exponent-indexed vector, read off it
+in exponent order.
 
 The class route is taken by d_times, n_triples, i_distribution and
 j_distribution when every set argument is a Subgroup. Write n = p-1 and, for
@@ -61,6 +69,7 @@ DTIMES_ORACLE_MAX = 60           # |U| cap for the d_times oracle route
 DTIMES_OPT_MAX = 10_000          # |U| cap for the optimized route
 DTIMES_OPT_P_MAX = 10**6
 FREQ_BUDGET = 10**8              # frequency-table products
+ORACLE_BLOCK_PAIRS = 2**18       # products per np.add.at in the d_times oracle
 DIRECT_CONV_MAX = 48             # at or below this length the primitives enumerate
 ENUM_PAIRS_PER_POINT = 10        # above it, they transform past this many pairs per point
 
@@ -103,10 +112,6 @@ def _dot(x: np.ndarray, y: np.ndarray) -> int:
     if not big.any():
         return int(np.dot(x, y))
     return int(np.dot(x[~big], y[~big])) + sum(map(operator.mul, x[big].tolist(), y[big].tolist()))
-
-
-def _sum_of_squares(counts: np.ndarray) -> int:
-    return sum(int(c) * int(c) for c in counts[counts > 0].tolist())
 
 
 def _transform_pays(pairs: int, length: int) -> bool:
@@ -169,6 +174,25 @@ def diff_counts(p: int, u) -> np.ndarray:
         if d is not None:
             return d
     return _pair_sums(p, xs, wx, xs, wx, np.subtract)
+
+
+def _exponent_conv(n: int, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
+    """r[t] = #{(i, j) : ex[i] + ey[j] == t mod n}, for exponent multisets:
+    the length-n cyclic convolution of their counts, by bincount of the pair
+    sums in blocks, or by _cyclic_conv where a transform pays."""
+    if _transform_pays(len(ex) * len(ey), n):
+        x = np.bincount(ex, minlength=n)
+        return _cyclic_conv(x, x if ey is ex else np.bincount(ey, minlength=n), n)
+    step = max(1, 2**22 // max(1, len(ey)))
+
+    def block(i: int) -> np.ndarray:
+        keys = ex[i : i + step, None] + ey[None, :]
+        return np.bincount(np.remainder(keys, n, out=keys).reshape(-1), minlength=n)
+
+    r = block(0)
+    for i in range(step, len(ex), step):
+        r += block(i)
+    return r
 
 
 def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,9 +260,13 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
     if method == "optimized":
         if n > FREQ_BUDGET:
             raise BudgetExceeded(f"product table of size {n} exceeds {FREQ_BUDGET}")
-        table_u = _table(p, u)
-        r = _mult_conv(ctx, table_u, table_u if np.array_equal(u, v) else _table(p, v))
-        return CountValue(count=_dot(r, r), method=method)
+        u, v = u % p, v % p
+        zu, zv = len(u) - int(np.count_nonzero(u)), len(v) - int(np.count_nonzero(v))
+        r0 = zu * len(v) + zv * len(u) - zu * zv  # u v == 0: u == 0 or v == 0
+        eu = ctx.dlog[u[u != 0]]
+        ev = eu if np.array_equal(u, v) else ctx.dlog[v[v != 0]]
+        r = _exponent_conv(p - 1, eu, ev)
+        return CountValue(count=r0 * r0 + _dot(r, r), method=method)
     if method == "oracle":
         if n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(f"oracle pair comparison at n={n} exceeds {ORACLE_PAIR_BUDGET}")
@@ -256,13 +284,18 @@ def shifted_energy(ctx: FieldCtx, g: Subgroup, lam: int, method: str = "optimize
     return mult_energy(ctx, shifted, shifted, method=method)
 
 
+def _difference_values(p: int, s: np.ndarray) -> np.ndarray:
+    return ((s[:, None] - s[None, :]) % p).reshape(-1)
+
+
 def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     """Solutions of (u1-v1)(u2-v2) == (u3-v3)(u4-v4) over U, all eight free.
 
     Every route goes through the difference table d(a) and the answer is the
     sum of r(mu)^2 for r(mu) = sum over ab == mu of d(a) d(b). The oracle
-    accumulates the outer product of supports directly; the optimized route
-    is the class route for a subgroup, else mult_conv(d, d).
+    counts d over all pairs of U and accumulates the outer product of its
+    support directly, in blocks; the optimized route is the class route for a
+    subgroup, else mult_conv(d, d).
     """
     p = ctx.p
     if method == "optimized" and _is_subgroup(us):
@@ -276,15 +309,18 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     if method == "oracle":
         if len(u) > DTIMES_ORACLE_MAX:
             raise BudgetExceeded(f"|U|={len(u)} exceeds oracle cap {DTIMES_ORACLE_MAX}")
-        d = diff_counts(p, u)
+        d = np.bincount(_difference_values(p, u), minlength=p)
         d0 = int(d[0])
         r0 = 2 * d0 * len(u) ** 2 - d0 * d0  # pairs (a, b) with ab == 0: a == 0 or b == 0
-        support = np.nonzero(d[1:])[0] + 1
+        support = np.flatnonzero(d[1:]) + 1
         weights = d[support]
         r = np.zeros(p, dtype=np.int64)
-        for a, wa in zip(support.tolist(), weights.tolist()):
-            np.add.at(r, (a * support) % p, wa * weights)
-        return CountValue(count=r0 * r0 + _sum_of_squares(r), method=method)
+        rows = max(1, ORACLE_BLOCK_PAIRS // max(1, len(support)))
+        for i in range(0, len(support), rows):
+            keys = (support[i : i + rows, None] * support[None, :]) % p
+            vals = weights[i : i + rows, None] * weights[None, :]
+            np.add.at(r, keys.reshape(-1), vals.reshape(-1))
+        return CountValue(count=r0 * r0 + _dot(r, r), method=method)
 
     if method == "optimized":
         if len(u) > DTIMES_OPT_MAX or p > DTIMES_OPT_P_MAX:
@@ -294,10 +330,6 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
         return CountValue(count=_dot(r, r), method=method)
 
     raise ValueError(f"unknown method {method!r}")
-
-
-def _difference_values(p: int, s: np.ndarray) -> np.ndarray:
-    return ((s[:, None] - s[None, :]) % p).reshape(-1)
 
 
 def n_triples(
@@ -437,7 +469,7 @@ def lambda_square_sum(ctx: FieldCtx, s: Subgroup, g: Subgroup, h: Subgroup) -> i
     for start in range(0, len(lams), 512):
         block = lams[start : start + 512]
         cnt = h_ind[(block[:, None] * g_shift[None, :]) % p].sum(axis=1)
-        total += sum(int(c) * int(c) for c in cnt.tolist())
+        total += _dot(cnt, cnt)
     return total
 
 

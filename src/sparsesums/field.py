@@ -111,7 +111,10 @@ def _power_table(g: int, p: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """Immutable arithmetic context for a prime modulus. Share freely across workers."""
+    """Arithmetic context for a prime modulus: immutable tables plus a subgroup cache.
+
+    Share freely across workers; the cache only ever gains equal entries.
+    """
 
     p: int
     g: int
@@ -119,6 +122,8 @@ class FieldCtx:
     g_pow: np.ndarray = field(repr=False)   # length p-1
     e_table: np.ndarray = field(repr=False)  # length p, complex128
     chi_unit: np.ndarray = field(repr=False)  # length p-1, complex128
+    # order -> Subgroup, filled by subgroups.subgroup_of_order
+    subgroups: dict = field(default_factory=dict, init=False, repr=False)
 
     def dlog_of(self, x: int) -> int:
         if x % self.p == 0:

@@ -10,11 +10,18 @@ ordered f >= g >= h. The roles of the first three exponents are
 interchangeable (the sum is symmetric in its terms), so `canonical` mode
 permutes only those; `best` mode additionally tries each exponent in the
 delta role and returns all four candidate packs for downstream selection.
+
+A subgroup is built once per field context: `subgroup_of_order` memoizes on
+the FieldCtx, so the cache lives and dies with the context (one entry in a
+sweep's `cached_ctx`). Its `as_array()` is one cached int64 array, marked
+read-only because every caller that asks for the subgroup shares it; the
+`elements` tuple of Python ints stays the canonical value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -34,15 +41,28 @@ class Subgroup:
         return self.order
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.elements, dtype=np.int64)
+        """The elements as one shared, read-only int64 array."""
+        return self._array
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        arr = np.asarray(self.elements, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
 
 
 def subgroup_of_order(ctx: FieldCtx, d: int) -> Subgroup:
-    """Elements x with x**d == 1 mod p, i.e. the image of g**((p-1)/d)."""
-    if d < 1 or (ctx.p - 1) % d != 0:
-        raise NotADivisor(f"order {d} does not divide p-1={ctx.p - 1}")
-    elems = np.sort(ctx.g_pow[:: (ctx.p - 1) // d])  # g**(k (p-1)/d), k < d
-    return Subgroup(order=d, elements=tuple(elems.tolist()))
+    """Elements x with x**d == 1 mod p, i.e. the image of g**((p-1)/d).
+
+    Built once per context and order; later calls return the same object.
+    """
+    sub = ctx.subgroups.get(d)
+    if sub is None:
+        if d < 1 or (ctx.p - 1) % d != 0:
+            raise NotADivisor(f"order {d} does not divide p-1={ctx.p - 1}")
+        elems = np.sort(ctx.g_pow[:: (ctx.p - 1) // d])  # g**(k (p-1)/d), k < d
+        sub = ctx.subgroups[d] = Subgroup(order=d, elements=tuple(elems.tolist()))
+    return sub
 
 
 def all_subgroups(ctx: FieldCtx) -> list[Subgroup]:
@@ -60,11 +80,10 @@ def product_set(ctx: FieldCtx, subgroups: list[Subgroup]) -> Subgroup:
         raise ValueError("need at least one subgroup")
     acc = subgroups[0].as_array()
     for sub in subgroups[1:]:
-        prods = (acc[:, None] * sub.as_array()[None, :]) % ctx.p
-        acc = np.unique(prods.reshape(-1))
+        prods = np.sort(((acc[:, None] * sub.as_array()[None, :]) % ctx.p).reshape(-1))
+        acc = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]  # sorted, distinct
     expected = subgroup_of_order(ctx, lcm(*[s.order for s in subgroups]))
-    computed = tuple(int(x) for x in np.sort(acc))
-    if computed != expected.elements:
+    if not np.array_equal(acc, expected.as_array()):
         raise AssertionError(
             f"product set of orders {[s.order for s in subgroups]} is not the "
             f"lcm-order subgroup (p={ctx.p})"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +66,18 @@ def test_mult_energy_subgroup_cube():
 
 
 def test_mult_energy_routes_agree_on_random_sets(ctx31):
+    cases = [
+        ([0, 1, 5], [0, 1, 5]),  # 0 on both sides, U == V
+        ([0], [3, 7]),  # no nonzero element in U
+        ([0, 0, 2], [4, 0]),  # 0 repeated
+        ([2, 2, 2, 9], [2, 9, 9]),  # repeated elements
+        ([-1, -30, 33, 62], [31, -31, 5]),  # negative, >= p, and 0 in disguise
+    ]
     for _route in each_route():
+        for us, vs in cases:
+            expected = mult_energy(ctx31, us, vs, method="oracle").count
+            assert mult_energy(ctx31, us, vs).count == expected, (us, vs)
+            assert mult_energy(ctx31, vs, us).count == expected
         rng = np.random.default_rng(2)
         for _ in range(25):
             us = rng.choice(30, size=int(rng.integers(2, 12)), replace=False) + 1
@@ -78,6 +91,26 @@ def test_mult_energy_routes_agree_on_random_sets(ctx31):
             a = mult_energy(ctx, us, vs, method="optimized").count
             b = mult_energy(ctx, us, vs, method="oracle").count
             assert a == b
+
+
+def _d_times_by_hand(p: int, us) -> int:
+    """sum over mu of r(mu)^2, r(mu) = #{(x1, y1, x2, y2) : (x1 - y1)(x2 - y2) == mu}."""
+    diffs = [(x - y) % p for x in us for y in us]
+    r = Counter(a * b % p for a in diffs for b in diffs)
+    return sum(c * c for c in r.values())
+
+
+@pytest.mark.parametrize("block", [1, 60, energy.ORACLE_BLOCK_PAIRS])
+def test_d_times_oracle_matches_pure_python_count(monkeypatch, block):
+    monkeypatch.setattr(energy, "ORACLE_BLOCK_PAIRS", block)
+    p = 37
+    ctx = ctx_for(p)
+    rng = np.random.default_rng(8)
+    sets = [[5], [0], [3, 3], [-1, 36, 73], [1, 2, 3, 4, 5, 6, 7]]
+    sets += [rng.integers(-p, 2 * p, size=int(rng.integers(1, 9))).tolist() for _ in range(12)]
+    for us in sets:
+        assert d_times(ctx, us, method="oracle").count == _d_times_by_hand(p, us), us
+    assert d_times(ctx, [5], method="oracle").count == 1  # |U| = 1: empty off-zero support
 
 
 def test_d_times_worked_value():

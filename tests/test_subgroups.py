@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from sparsesums import (
     NotADivisor,
     all_subgroups,
     gcd_params,
+    make_field_ctx,
     power_image,
     product_set,
     subgroup_of_order,
@@ -29,6 +31,30 @@ def test_subgroup_of_order_basics():
     assert s4.elements == (1, 5, 8, 12)
     with pytest.raises(NotADivisor):
         subgroup_of_order(ctx, 5)
+
+
+def test_subgroup_is_built_once_per_context():
+    ctx = make_field_ctx(31)
+    s = subgroup_of_order(ctx, 5)
+    assert subgroup_of_order(ctx, 5) is s
+    assert all_subgroups(ctx)[3] is s
+    other = make_field_ctx(31)
+    t = subgroup_of_order(other, 5)
+    assert t is not s and t == s
+    with pytest.raises(NotADivisor):
+        subgroup_of_order(ctx, 7)
+    assert 7 not in ctx.subgroups
+
+
+def test_subgroup_array_is_shared_and_read_only():
+    sub = subgroup_of_order(ctx_for(61), 12)
+    arr = sub.as_array()
+    assert sub.as_array() is arr
+    assert arr.dtype == np.int64
+    assert arr.tolist() == list(sub.elements)
+    with pytest.raises(ValueError):
+        arr[0] = 2
+    assert arr[0] == 1
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 101])
@@ -50,11 +76,14 @@ def test_all_subgroups_orders_are_divisors():
 @pytest.mark.parametrize("p", [13, 31, 101])
 def test_product_set_is_lcm_subgroup(p):
     ctx = ctx_for(p)
-    subs = all_subgroups(ctx)
+    subs = all_subgroups(ctx)  # orders 1 through p-1
     for a in subs:
+        assert product_set(ctx, [a]) is a
         for b in subs:
-            prod = product_set(ctx, [a, b])
-            assert prod.order == lcm(a.order, b.order)
+            assert product_set(ctx, [a, b]) is subgroup_of_order(ctx, lcm(a.order, b.order))
+            for c in subs:
+                prod = product_set(ctx, [a, b, c])
+                assert prod is subgroup_of_order(ctx, lcm(a.order, b.order, c.order))
 
 
 def test_power_image_full_group():
