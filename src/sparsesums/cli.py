@@ -110,13 +110,7 @@ def cmd_count(args) -> int:
            "sizes": [len(s) for s in sets]}
     if args.quantity == "energy":
         if args.shift is not None:
-            from .subgroups import Subgroup
-
-            if isinstance(sets[0], Subgroup):
-                cv = shifted_energy(ctx, sets[0], args.shift, method=args.method)
-            else:
-                shifted = [(x + args.shift) % ctx.p for x in sets[0]]
-                cv = mult_energy(ctx, shifted, shifted, method=args.method)
+            cv = shifted_energy(ctx, sets[0], args.shift, method=args.method)
             out["shift"] = args.shift
         else:
             cv = mult_energy(ctx, sets[0], sets[1], method=args.method)

@@ -4,21 +4,22 @@ Every quantity has two routes that must agree to the integer: an oracle
 (brute-force comparison or direct enumeration, heavily size-gated) and an
 optimized route. The d_times oracle enumerates all pairs of U for its
 difference table and the outer product of that table's support in blocks of
-ORACLE_BLOCK_PAIRS products, one np.add.at per block; it calls none of the
-optimized primitives below. The optimized route counts on one of two domains.
+ORACLE_BLOCK_PAIRS products, one np.add.at per block. Every optimized count
+goes through one primitive, _cyclic_conv: the length-n cyclic convolution of
+two supports (unit weights on multisets, or weights on distinct residues).
 
-The set route takes any multiset of residues and works on length-p count
-tables: diff_counts, the difference table d as a cyclic autocorrelation of
-length p, and _mult_conv, r(mu) = sum over x y == mu of a(x) b(y), a cyclic
-convolution of length p-1 in the discrete-log domain (Rader's primitive-root
-reindexing) with the mass at 0 carried explicitly. D is the sum of r^2 for
-r = (d, d); N sums r_FG r_FH; I and J are r for (d_W, 1_Z) and (d_X, d_Y).
-The energy E(U, V) needs no residue table: with z_U, z_V the multiplicities
-of 0, r(0) = z_U |V| + z_V |U| - z_U z_V, and r(mu != 0) is counted on the
-exponents dlog(u), dlog(v) of the nonzero elements, as the pair sums mod p-1
-(a bincount) or their length p-1 cyclic convolution where a transform pays;
-E = r(0)^2 + the sum of squares of that exponent-indexed vector, read off it
-in exponent order.
+The set route takes any multiset of residues. The difference table
+d = diff_counts(U) convolves the support of U with its negation on Z/p.
+_mult_conv gives r(mu) = sum over x y == mu of a(x) b(y) for length-p
+tables by convolving the discrete logs of the two supports on Z/(p-1)
+(Rader's primitive-root reindexing): it returns
+r(0) = a(0) |b| + b(0) |a| - a(0) b(0) and r[t] = r(g^t), with nothing
+scattered back to residue order. D = r0^2 + sum r^2 for (d, d);
+N = r0 r0' + sum r r' for (1_F, d_G) and (1_F, d_H); I and J are r for
+(d_W, 1_Z) and (d_X, d_Y), read on residues with the mass at 0 set
+explicitly. E(U, V) convolves the exponent multisets dlog(u), dlog(v) of the
+nonzero elements; with z_U, z_V the multiplicities of 0,
+r(0) = z_U |V| + z_V |U| - z_U z_V and E = r(0)^2 + sum r^2.
 
 The class route is taken by d_times, n_triples, i_distribution and
 j_distribution when every set argument is a Subgroup. Write n = p-1 and, for
@@ -26,9 +27,10 @@ a subgroup X of order d_X, m_X = n / d_X. A table invariant under X is a
 function of the class dlog(x) mod m_X; the difference table of X is
 d_X(0) = d_X and d_X(a) = A_X[dlog a mod m_X] for a != 0, where
 A_X[c] = #{u in X, u != 1 : dlog(u - 1) mod m_X == c} are the cyclotomic
-numbers of order m_X (Storer, Cyclotomy and Difference Sets, 1967). For class
-vectors x on Z/m_x and y on Z/m_y, with q = gcd(m_x, m_y) and x|q the fibre
-sum of x onto Z/q, the multiplicative convolution is the length-q cyclic one
+numbers of order m_X (Storer, Cyclotomy and Difference Sets, 1967), counted
+once per subgroup (Subgroup.classes). For class vectors x on Z/m_x and y on
+Z/m_y, with q = gcd(m_x, m_y) and x|q the fibre sum of x onto Z/q, the
+multiplicative convolution is the length-q cyclic one
 r(mu != 0) = (n / lcm(m_x, m_y)) (x|q * y|q)[dlog mu mod q], and
 n / lcm(m_X, m_Y) = gcd(d_X, d_Y). With 1_Z the class vector of Z (1 at
 class 0) and q = gcd of the two class periods:
@@ -42,13 +44,14 @@ class 0) and q = gcd of the two class periods:
 
 O(d + m) work and no length-p transform.
 
-Every cyclic convolution, of length p, p-1 or q, enumerates its support
-pairs in int64 unless its length n exceeds DIRECT_CONV_MAX and the pairs
-exceed ENUM_PAIRS_PER_POINT * n (both measured crossovers); then it takes a
-float64 FFT of zero-padded power-of-two length, rounded only when an a priori
-error bound from the inputs' norms and the length (Percival, Math. Comp. 72,
-2003) is below 1/4, else it enumerates. Sums of squares use int64 only where
-no partial sum can overflow.
+_cyclic_conv enumerates the pairs of its supports in int64, a bincount of
+the pair sums for unit weights and np.add.at for weighted pairs, in blocks
+of about 2**22 pairs, unless its length n exceeds DIRECT_CONV_MAX and the
+pairs exceed ENUM_PAIRS_PER_POINT * n (both measured crossovers); then it
+takes a float64 FFT of zero-padded power-of-two length, rounded only when
+an a priori error bound from the inputs' norms and the length (Percival,
+Math. Comp. 72, 2003) is below 1/4, else it enumerates. Sums of squares use
+int64 only where no partial sum can overflow.
 """
 
 from __future__ import annotations
@@ -66,12 +69,11 @@ from .subgroups import Subgroup
 ORACLE_PAIR_BUDGET = 5_000       # all-pairs comparison arrays
 ORACLE_LOOP_BUDGET = 4_000_000   # python-loop enumerations
 DTIMES_ORACLE_MAX = 60           # |U| cap for the d_times oracle route
-DTIMES_OPT_MAX = 10_000          # |U| cap for the optimized route
-DTIMES_OPT_P_MAX = 10**6
+DTIMES_OPT_P_MAX = 10**6         # p cap for the optimized set route
 FREQ_BUDGET = 10**8              # frequency-table products
 ORACLE_BLOCK_PAIRS = 2**18       # products per np.add.at in the d_times oracle
-DIRECT_CONV_MAX = 48             # at or below this length the primitives enumerate
-ENUM_PAIRS_PER_POINT = 10        # above it, they transform past this many pairs per point
+DIRECT_CONV_MAX = 48             # at or below this length _cyclic_conv enumerates
+ENUM_PAIRS_PER_POINT = 10        # above it, it transforms past this many pairs per point
 
 
 @dataclass(frozen=True)
@@ -118,17 +120,6 @@ def _transform_pays(pairs: int, length: int) -> bool:
     return length > DIRECT_CONV_MAX and pairs > ENUM_PAIRS_PER_POINT * length
 
 
-def _pair_sums(p: int, xs, wx, ys, wy, op) -> np.ndarray:
-    """out[op(x, y) % p] += wx * wy over all pairs, in blocks; exact while the
-    total mass sum(wx) sum(wy), which the callers' budgets bound, is < 2**63."""
-    out = np.zeros(p, dtype=np.int64)
-    step = max(1, 2**22 // max(1, len(ys)))
-    for i in range(0, len(xs), step):
-        keys = op(xs[i : i + step, None], ys[None, :]) % p
-        np.add.at(out, keys.reshape(-1), (wx[i : i + step, None] * wy[None, :]).reshape(-1))
-    return out
-
-
 def _fft_error_bound(sq_x: int, sq_y: int, size: int) -> float:
     """Bound on max |computed - exact| of a float64 FFT convolution of length
     size = 2**(k-1), from squared norms: Percival, Thm. 5.1, with unit roundoff
@@ -152,72 +143,58 @@ def _cyclic_fft(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray | None:
     return np.rint(out).astype(np.int64)
 
 
-def _cyclic_conv(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray:
-    """Length-n cyclic convolution of non-negative integer vectors: an FFT
-    where it pays and its bound allows, else the support pairs enumerated."""
-    sx = np.flatnonzero(x)
-    sy = sx if y is x else np.flatnonzero(y)
-    if _transform_pays(len(sx) * len(sy), n):
-        conv = _cyclic_fft(x, y, n)
+def _dense(n: int, s: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """Length-n table of a support: the counts of s, or w placed at s."""
+    if w is None:
+        return np.bincount(s, minlength=n)
+    x = np.zeros(n, dtype=np.int64)
+    x[s] = w
+    return x
+
+
+def _cyclic_conv(n: int, xs: np.ndarray, ys: np.ndarray, wx=None, wy=None) -> np.ndarray:
+    """r[t] = sum over xs[i] + ys[j] == t mod n of wx[i] wy[j], for residues
+    in [0, n): unit weights on multisets when wx and wy are None, else weights
+    on distinct residues. An FFT where it pays and its bound allows, else the
+    pairs enumerated in blocks; exact while the total mass, which the
+    callers' budgets bound, is < 2**63."""
+    if _transform_pays(len(xs) * len(ys), n):
+        x = _dense(n, xs, wx)
+        conv = _cyclic_fft(x, x if ys is xs and wy is wx else _dense(n, ys, wy), n)
         if conv is not None:
             return conv
-    return _pair_sums(n, sx, x[sx], sy, y[sy], np.add)
+    r = None if wx is None else np.zeros(n, dtype=np.int64)
+    step = max(1, 2**22 // max(1, len(ys)))
+    for i in range(0, max(1, len(xs)), step):
+        keys = xs[i : i + step, None] + ys
+        keys = np.remainder(keys, n, out=keys).reshape(-1)
+        if wx is not None:
+            np.add.at(r, keys, (wx[i : i + step, None] * wy).reshape(-1))
+        elif r is None:
+            r = np.bincount(keys, minlength=n)  # the first block accumulates the rest
+        else:
+            r += np.bincount(keys, minlength=n)
+    return r
 
 
 def diff_counts(p: int, u) -> np.ndarray:
     """d[a] = #{(x, y) in U^2 : x - y == a mod p}, length-p table: the autocorrelation."""
-    u = np.asarray(u, dtype=np.int64)
-    xs, wx = np.unique(u % p, return_counts=True)
-    if _transform_pays(len(xs) ** 2, p):
-        c = _table(p, u)
-        d = _cyclic_fft(c, np.roll(c[::-1], 1), p)  # the reversal c[-j]
-        if d is not None:
-            return d
-    return _pair_sums(p, xs, wx, xs, wx, np.subtract)
+    xs, wx = np.unique(np.asarray(u, dtype=np.int64) % p, return_counts=True)
+    return _cyclic_conv(p, xs, (p - xs) % p, wx, wx)
 
 
-def _exponent_conv(n: int, ex: np.ndarray, ey: np.ndarray) -> np.ndarray:
-    """r[t] = #{(i, j) : ex[i] + ey[j] == t mod n}, for exponent multisets:
-    the length-n cyclic convolution of their counts, by bincount of the pair
-    sums in blocks, or by _cyclic_conv where a transform pays."""
-    if _transform_pays(len(ex) * len(ey), n):
-        x = np.bincount(ex, minlength=n)
-        return _cyclic_conv(x, x if ey is ex else np.bincount(ey, minlength=n), n)
-    step = max(1, 2**22 // max(1, len(ey)))
+def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
+    """(r(0), r[t] = r(g**t)) for r(mu) = sum over x y == mu mod p of a[x] b[y],
+    length-p count tables: products of the supports are sums of their dlogs."""
 
-    def block(i: int) -> np.ndarray:
-        keys = ex[i : i + step, None] + ey[None, :]
-        return np.bincount(np.remainder(keys, n, out=keys).reshape(-1), minlength=n)
+    def support(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = np.flatnonzero(t[1:]) + 1
+        return ctx.dlog[s], t[s]
 
-    r = block(0)
-    for i in range(step, len(ex), step):
-        r += block(i)
-    return r
-
-
-def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """r[mu] = sum over x y == mu mod p of a[x] b[y], for length-p count tables."""
-    p = ctx.p
-    sa, sb = np.flatnonzero(a[1:]) + 1, np.flatnonzero(b[1:]) + 1
-    conv = None
-    if _transform_pays(len(sa) * len(sb), p - 1):
-        x = a[ctx.g_pow]  # x[t] = a[g**t]: products become sums of exponents
-        conv = _cyclic_fft(x, x if b is a else b[ctx.g_pow], p - 1)
-    if conv is None:
-        r = _pair_sums(p, sa, a[sa], sb, b[sb], np.multiply)
-    else:
-        r = np.concatenate(([0], conv[ctx.dlog[1:]]))
+    ea, wa = support(a)
+    eb, wb = (ea, wa) if b is a else support(b)
     a0, b0 = int(a[0]), int(b[0])
-    r[0] = a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0
-    return r
-
-
-def _classes(ctx: FieldCtx, sub: Subgroup) -> np.ndarray:
-    """A on Z/m, m = (p-1)/|sub|, with d(a) = A[dlog a mod m] for a != 0:
-    the cyclotomic numbers of order m."""
-    m = (ctx.p - 1) // sub.order
-    u = sub.as_array()
-    return np.bincount(ctx.dlog[u[u != 1] - 1] % m, minlength=m)
+    return a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0, _cyclic_conv(ctx.p - 1, ea, eb, wa, wb)
 
 
 def _fold(x: np.ndarray, q: int) -> np.ndarray:
@@ -229,7 +206,7 @@ def _class_r(ctx: FieldCtx, x: Subgroup, z: Subgroup) -> np.ndarray:
     """r_XZ(mu != 0) = sum over a z == mu of d_X(a) 1_Z(z) on Z/gcd(m_X, m_Z)."""
     n = ctx.p - 1
     q = math.gcd(n // x.order, n // z.order)
-    return math.gcd(x.order, z.order) * _fold(_classes(ctx, x), q)
+    return math.gcd(x.order, z.order) * _fold(x.classes(ctx), q)
 
 
 def _class_dot(n: int, r1: np.ndarray, r2: np.ndarray) -> int:
@@ -240,7 +217,8 @@ def _class_dot(n: int, r1: np.ndarray, r2: np.ndarray) -> int:
 
 def _on_residues(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     """Length-p table t with t[0] = 0 and t[a] = v[dlog a mod len(v)]."""
-    return np.concatenate(([0], v[ctx.dlog[1:] % len(v)]))
+    e = ctx.dlog[1:]
+    return np.concatenate(([0], v[e if len(v) == ctx.p - 1 else e % len(v)]))
 
 
 def _distribution(r: np.ndarray, zero_count: int = 0) -> Distribution:
@@ -265,22 +243,28 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
         r0 = zu * len(v) + zv * len(u) - zu * zv  # u v == 0: u == 0 or v == 0
         eu = ctx.dlog[u[u != 0]]
         ev = eu if np.array_equal(u, v) else ctx.dlog[v[v != 0]]
-        r = _exponent_conv(p - 1, eu, ev)
+        r = _cyclic_conv(p - 1, eu, ev)
         return CountValue(count=r0 * r0 + _dot(r, r), method=method)
     if method == "oracle":
         if n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(f"oracle pair comparison at n={n} exceeds {ORACLE_PAIR_BUDGET}")
         prods = ((u[:, None] * v[None, :]) % p).reshape(-1)
-        total = 0
-        for start in range(0, n, 512):
-            total += int((prods[start : start + 512, None] == prods[None, :]).sum())
-        return CountValue(count=total, method=method)
+        return CountValue(count=_equal_pairs(prods, prods), method=method)
     raise ValueError(f"unknown method {method!r}")
 
 
-def shifted_energy(ctx: FieldCtx, g: Subgroup, lam: int, method: str = "optimized") -> CountValue:
-    """mult_energy of the shifted set G + lam (which may contain 0)."""
-    shifted = (g.as_array() + lam) % ctx.p
+def _equal_pairs(left: np.ndarray, right: np.ndarray) -> int:
+    """#{(i, j) : left[i] == right[j]}, compared in blocks of 512 rows."""
+    total = 0
+    for start in range(0, len(left), 512):
+        total += int((left[start : start + 512, None] == right[None, :]).sum())
+    return total
+
+
+def shifted_energy(ctx: FieldCtx, g, lam: int, method: str = "optimized") -> CountValue:
+    """mult_energy of the shifted set G + lam (which may contain 0), for a
+    subgroup or any list of residues."""
+    shifted = (_as_array(g) + lam) % ctx.p
     return mult_energy(ctx, shifted, shifted, method=method)
 
 
@@ -295,13 +279,15 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     sum of r(mu)^2 for r(mu) = sum over ab == mu of d(a) d(b). The oracle
     counts d over all pairs of U and accumulates the outer product of its
     support directly, in blocks; the optimized route is the class route for a
-    subgroup, else mult_conv(d, d).
+    subgroup, else _mult_conv(d, d).
     """
     p = ctx.p
     if method == "optimized" and _is_subgroup(us):
         d = us.order
-        a = _classes(ctx, us)
-        conv = _cyclic_conv(a, a, len(a))
+        a = us.classes(ctx)
+        s = np.flatnonzero(a)
+        w = a[s]
+        conv = _cyclic_conv(len(a), s, s, w, w)
         r0 = 2 * d**3 - d * d  # r(0): 2 d(0) |G|^2 - d(0)^2, d(0) = |G|
         return CountValue(count=r0 * r0 + d**3 * _dot(conv, conv), method=method)
 
@@ -323,11 +309,11 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
         return CountValue(count=r0 * r0 + _dot(r, r), method=method)
 
     if method == "optimized":
-        if len(u) > DTIMES_OPT_MAX or p > DTIMES_OPT_P_MAX:
-            raise BudgetExceeded(f"|U|={len(u)}, p={p} out of optimized range")
+        if len(u) ** 2 > FREQ_BUDGET or p > DTIMES_OPT_P_MAX:
+            raise BudgetExceeded(f"|U|^2={len(u) ** 2}, p={p} out of optimized range")
         d = diff_counts(p, u)
-        r = _mult_conv(ctx, d, d)  # r[0] == 2 d(0) |U|^2 - d(0)^2
-        return CountValue(count=_dot(r, r), method=method)
+        r0, r = _mult_conv(ctx, d, d)  # r0 == 2 d(0) |U|^2 - d(0)^2
+        return CountValue(count=r0 * r0 + _dot(r, r), method=method)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -353,9 +339,10 @@ def n_triples(
             count = len(f) ** 2 * len(g) * len(h) + _class_dot(p - 1, r_fg, r_fh)
             return CountValue(count=count, method=method)
         table_f = _table(p, f)
-        r_fg = _mult_conv(ctx, table_f, diff_counts(p, g))
-        r_fh = r_fg if np.array_equal(g, h) else _mult_conv(ctx, table_f, diff_counts(p, h))
-        return CountValue(count=_dot(r_fg, r_fh), method=method)
+        r0_fg, r_fg = _mult_conv(ctx, table_f, diff_counts(p, g))
+        same = np.array_equal(g, h)
+        r0_fh, r_fh = (r0_fg, r_fg) if same else _mult_conv(ctx, table_f, diff_counts(p, h))
+        return CountValue(count=r0_fg * r0_fh + _dot(r_fg, r_fh), method=method)
     if method == "oracle":
         if left_n > ORACLE_PAIR_BUDGET or right_n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(
@@ -363,10 +350,7 @@ def n_triples(
             )
         left = ((f[:, None] * _difference_values(p, g)[None, :]) % p).reshape(-1)
         right = ((f[:, None] * _difference_values(p, h)[None, :]) % p).reshape(-1)
-        count = 0
-        for start in range(0, len(left), 512):
-            count += int((left[start : start + 512, None] == right[None, :]).sum())
-        return CountValue(count=count, method=method)
+        return CountValue(count=_equal_pairs(left, right), method=method)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -385,14 +369,14 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
             raise BudgetExceeded(f"J frequency product {mass} exceeds {FREQ_BUDGET}")
         if _is_subgroup(xs, ys):
             r_xy = _class_r(ctx, xs, ys)
-            q = len(r_xy)
-            r = _on_residues(ctx, _cyclic_conv(r_xy, _fold(_classes(ctx, ys), q), q))
+            a_y = _fold(ys.classes(ctx), len(r_xy))
+            sx, sy = np.flatnonzero(r_xy), np.flatnonzero(a_y)
             dx, dy = len(x), len(y)
             zero_count = dx * dy * dy + dy * dx * dx - dx * dy
+            v = _cyclic_conv(len(r_xy), sx, sy, r_xy[sx], a_y[sy])
         else:
-            r = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
-            zero_count = int(r[0])
-            r[0] = 0
+            zero_count, v = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
+        r = _on_residues(ctx, v)
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"J oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
@@ -454,16 +438,12 @@ class CauchyStepReport:
     intermediate_holds: bool
 
 
-def _shifted_elements(p: int, sub: Subgroup, lam: int) -> np.ndarray:
-    return (sub.as_array() + lam) % p
-
-
 def lambda_square_sum(ctx: FieldCtx, s: Subgroup, g: Subgroup, h: Subgroup) -> int:
     """sum over lam in S of #{(g, h) in G x H : lam (g - 1) == h - 1}, squared."""
     p = ctx.p
     h_ind = np.zeros(p, dtype=np.int64)
-    h_ind[_shifted_elements(p, h, p - 1)] = 1
-    g_shift = _shifted_elements(p, g, p - 1)
+    h_ind[(h.as_array() - 1) % p] = 1
+    g_shift = (g.as_array() - 1) % p
     total = 0
     lams = s.as_array()
     for start in range(0, len(lams), 512):
@@ -507,10 +487,11 @@ def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribu
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"I frequency product {mass} exceeds {FREQ_BUDGET}")
         if _is_subgroup(ws, zs):
-            r = _on_residues(ctx, _class_r(ctx, ws, zs))
-            r[0] = len(w) * len(z)
+            r0, v = len(w) * len(z), _class_r(ctx, ws, zs)
         else:
-            r = _mult_conv(ctx, diff_counts(p, w), _table(p, z))
+            r0, v = _mult_conv(ctx, diff_counts(p, w), _table(p, z))
+        r = _on_residues(ctx, v)
+        r[0] = r0
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"I oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")

@@ -15,7 +15,8 @@ A subgroup is built once per field context: `subgroup_of_order` memoizes on
 the FieldCtx, so the cache lives and dies with the context (one entry in a
 sweep's `cached_ctx`). Its `as_array()` is one cached int64 array, marked
 read-only because every caller that asks for the subgroup shares it; the
-`elements` tuple of Python ints stays the canonical value.
+`elements` tuple of Python ints stays the canonical value. Its cyclotomic
+class vector `classes(ctx)` is counted once and shared the same way.
 """
 
 from __future__ import annotations
@@ -49,6 +50,22 @@ class Subgroup:
         arr = np.asarray(self.elements, dtype=np.int64)
         arr.flags.writeable = False
         return arr
+
+    def classes(self, ctx: FieldCtx) -> np.ndarray:
+        """A on Z/m, m = (p-1)/order, with A[c] = #{u != 1 : dlog(u - 1) mod m == c}:
+        the cyclotomic numbers of order m. Counted on the first call, in the
+        context that built the subgroup, then shared and read-only."""
+        if "_classes" not in self.__dict__:  # stored as cached_property stores
+            self.__dict__["_classes"] = _count_classes(ctx, self)
+        return self.__dict__["_classes"]
+
+
+def _count_classes(ctx: FieldCtx, sub: Subgroup) -> np.ndarray:
+    m = (ctx.p - 1) // sub.order
+    u = sub.as_array()
+    classes = np.bincount(ctx.dlog[u[u != 1] - 1] % m, minlength=m)
+    classes.flags.writeable = False
+    return classes
 
 
 def subgroup_of_order(ctx: FieldCtx, d: int) -> Subgroup:

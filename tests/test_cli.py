@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from sparsesums import make_field_ctx, mult_energy
 from sparsesums.cli import main
 
 
@@ -50,6 +51,20 @@ def test_count_quantities(capsys):
     )
     assert code == 0
     assert json.loads(out)["table"] == {"0": 2, "2": 1, "11": 1}
+
+
+def test_count_shifted_energy_of_elements(capsys):
+    ctx = make_field_ctx(13)
+    shifted = [(x + 5) % 13 for x in (1, 3, 8, 9, 12)]  # 8 + 5 == 0
+    expected = mult_energy(ctx, shifted, shifted, method="oracle").count
+    for method in ("optimized", "oracle"):
+        code, out, _ = run_cli(
+            capsys, "count", "--p", "13", "--quantity", "energy",
+            "--elements", "1,3,8,9,12", "--shift", "5", "--method", method,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["count"] == expected and payload["shift"] == 5
 
 
 def test_count_argument_errors(capsys):

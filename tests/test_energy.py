@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsesums import energy
+from sparsesums import energy, subgroups
 from sparsesums import (
     BudgetExceeded,
     all_subgroups,
@@ -358,6 +358,31 @@ def test_class_route_raises_budget_exceeded_where_the_set_route_does(monkeypatch
     assert any(raised) and not all(raised)
 
 
+def test_d_times_set_route_budget_is_the_frequency_budget():
+    # |U|^2 > FREQ_BUDGET exactly when |U| > 10_000
+    assert 10_000**2 == energy.FREQ_BUDGET
+    ctx = ctx_for(10_007)
+    with pytest.raises(BudgetExceeded):
+        d_times(ctx, list(range(10_001)))
+    assert d_times(ctx, list(range(10_000))).method == "optimized"
+
+
+def test_class_vector_is_counted_once_per_subgroup(monkeypatch):
+    counted = []
+    count_classes = subgroups._count_classes
+    monkeypatch.setattr(
+        subgroups, "_count_classes", lambda ctx, sub: counted.append(sub) or count_classes(ctx, sub)
+    )
+    ctx = make_field_ctx(109)  # a fresh context: no subgroup has counted its classes
+    g, h = subgroup_of_order(ctx, 12), subgroup_of_order(ctx, 9)
+    for _ in range(3):
+        d_times(ctx, g)
+        n_triples(ctx, h, g, g)
+        j_distribution(ctx, g, g)
+    assert counted == [g]
+    assert g.classes(ctx) is g.classes(ctx) and not g.classes(ctx).flags.writeable
+
+
 def test_d_times_class_route_above_the_set_route_p_cap(monkeypatch):
     p = 1_000_033  # just above DTIMES_OPT_P_MAX; 96 divides p - 1
     assert p > energy.DTIMES_OPT_P_MAX
@@ -462,20 +487,49 @@ def test_inputs_failing_the_bound_take_the_exact_route(monkeypatch):
     assert energy._transform_pays(100 * 100, 100)
     x, y = a[ctx.g_pow], b[ctx.g_pow]
     assert energy._fft_error_bound(energy._dot(x, x), energy._dot(y, y), 256) >= 0.25
-    calls = []
-    enumerate_pairs = energy._pair_sums
+    returned = []
+    transform = energy._cyclic_fft
     monkeypatch.setattr(
-        energy, "_pair_sums", lambda *args: calls.append(1) or enumerate_pairs(*args)
+        energy, "_cyclic_fft", lambda *args: returned.append(transform(*args)) or returned[-1]
     )
-    r = energy._mult_conv(ctx, a, b)
-    assert calls
-    conv = _direct_cyclic(x, y)
-    expected = [0] * 101
-    for t, g in enumerate(ctx.g_pow.tolist()):
-        expected[g] = conv[t]
+    r0, r = energy._mult_conv(ctx, a, b)
+    assert returned == [None]
+    assert r.tolist() == _direct_cyclic(x, y)  # r[t] = r(g**t)
     a0, b0 = int(a[0]), int(b[0])
-    expected[0] = a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0
-    assert r.tolist() == expected
+    assert r0 == a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0
+
+
+def test_cyclic_conv_matches_python_ints():
+    rng = np.random.default_rng(19)
+    for route in each_route():
+        for n in (1, 48, 49, 100):
+            for size in (1, 7, 3 * n):
+                xs = rng.integers(0, n, size=size)  # multisets, with repeats
+                ys = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 2)))
+                cx, cy = np.bincount(xs, minlength=n), np.bincount(ys, minlength=n)
+                assert energy._cyclic_conv(n, xs, ys).tolist() == _direct_cyclic(cx, cy), route
+                assert energy._cyclic_conv(n, xs, xs).tolist() == _direct_cyclic(cx, cx)
+                # weights on distinct residues, up to 2**20
+                sx = np.unique(xs)
+                sy = np.unique(ys)
+                wx = rng.integers(1, 2**20, size=len(sx))
+                wy = rng.integers(1, 2**20, size=len(sy))
+                dx, dy = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+                dx[sx], dy[sy] = wx, wy
+                got = energy._cyclic_conv(n, sx, sy, wx, wy).tolist()
+                assert got == _direct_cyclic(dx, dy), route
+                assert energy._cyclic_conv(n, sx, sx, wx, wx).tolist() == _direct_cyclic(dx, dx)
+        # 2,500 x 2,000 pairs: two blocks of the enumeration, the second partial
+        n = 4099
+        sx, sy = rng.permutation(n)[:2500], rng.permutation(n)[:2000]
+        wx, wy = rng.integers(1, 2**10, size=len(sx)), rng.integers(1, 2**10, size=len(sy))
+        for weights in ((None, None), (wx, wy)):
+            dx, dy = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+            dx[sx], dy[sy] = (1, 1) if weights[0] is None else weights
+            linear = np.convolve(dx, dy)  # int64 is exact: n * 2**20 < 2**63
+            expected = linear[:n]
+            expected[: n - 1] += linear[n:]
+            assert np.array_equal(energy._cyclic_conv(n, sx, sy, *weights), expected), route
 
 
 def test_dot_is_exact_past_int64():
