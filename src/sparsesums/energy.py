@@ -152,6 +152,14 @@ def _dense(n: int, s: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     return x
 
 
+def _supports(x: np.ndarray, y: np.ndarray):
+    """(sx, sy, x[sx], y[sy]) over the nonzero entries of two tables, the
+    arguments of _cyclic_conv after n; the same arrays when y is x."""
+    sx = np.flatnonzero(x)
+    sy, wx = sx if y is x else np.flatnonzero(y), x[sx]
+    return sx, sy, wx, wx if y is x else y[sy]
+
+
 def _cyclic_conv(n: int, xs: np.ndarray, ys: np.ndarray, wx=None, wy=None) -> np.ndarray:
     """r[t] = sum over xs[i] + ys[j] == t mod n of wx[i] wy[j], for residues
     in [0, n): unit weights on multisets when wx and wy are None, else weights
@@ -186,13 +194,10 @@ def diff_counts(p: int, u) -> np.ndarray:
 def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
     """(r(0), r[t] = r(g**t)) for r(mu) = sum over x y == mu mod p of a[x] b[y],
     length-p count tables: products of the supports are sums of their dlogs."""
-
-    def support(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.flatnonzero(t[1:]) + 1
-        return ctx.dlog[s], t[s]
-
-    ea, wa = support(a)
-    eb, wb = (ea, wa) if b is a else support(b)
+    a1 = a[1:]
+    sa, sb, wa, wb = _supports(a1, a1 if b is a else b[1:])
+    ea = ctx.dlog[sa + 1]
+    eb = ea if sb is sa else ctx.dlog[sb + 1]
     a0, b0 = int(a[0]), int(b[0])
     return a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0, _cyclic_conv(ctx.p - 1, ea, eb, wa, wb)
 
@@ -217,8 +222,7 @@ def _class_dot(n: int, r1: np.ndarray, r2: np.ndarray) -> int:
 
 def _on_residues(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
     """Length-p table t with t[0] = 0 and t[a] = v[dlog a mod len(v)]."""
-    e = ctx.dlog[1:]
-    return np.concatenate(([0], v[e if len(v) == ctx.p - 1 else e % len(v)]))
+    return np.concatenate(([0], v[ctx.dlog[1:] % len(v)]))
 
 
 def _distribution(r: np.ndarray, zero_count: int = 0) -> Distribution:
@@ -264,7 +268,7 @@ def _equal_pairs(left: np.ndarray, right: np.ndarray) -> int:
 def shifted_energy(ctx: FieldCtx, g, lam: int, method: str = "optimized") -> CountValue:
     """mult_energy of the shifted set G + lam (which may contain 0), for a
     subgroup or any list of residues."""
-    shifted = (_as_array(g) + lam) % ctx.p
+    shifted = (_as_array(g) % ctx.p + lam % ctx.p) % ctx.p
     return mult_energy(ctx, shifted, shifted, method=method)
 
 
@@ -285,9 +289,7 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     if method == "optimized" and _is_subgroup(us):
         d = us.order
         a = us.classes(ctx)
-        s = np.flatnonzero(a)
-        w = a[s]
-        conv = _cyclic_conv(len(a), s, s, w, w)
+        conv = _cyclic_conv(len(a), *_supports(a, a))
         r0 = 2 * d**3 - d * d  # r(0): 2 d(0) |G|^2 - d(0)^2, d(0) = |G|
         return CountValue(count=r0 * r0 + d**3 * _dot(conv, conv), method=method)
 
@@ -370,10 +372,9 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
         if _is_subgroup(xs, ys):
             r_xy = _class_r(ctx, xs, ys)
             a_y = _fold(ys.classes(ctx), len(r_xy))
-            sx, sy = np.flatnonzero(r_xy), np.flatnonzero(a_y)
             dx, dy = len(x), len(y)
             zero_count = dx * dy * dy + dy * dx * dx - dx * dy
-            v = _cyclic_conv(len(r_xy), sx, sy, r_xy[sx], a_y[sy])
+            v = _cyclic_conv(len(r_xy), *_supports(r_xy, a_y))
         else:
             zero_count, v = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
         r = _on_residues(ctx, v)

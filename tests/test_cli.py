@@ -55,16 +55,18 @@ def test_count_quantities(capsys):
 
 def test_count_shifted_energy_of_elements(capsys):
     ctx = make_field_ctx(13)
-    shifted = [(x + 5) % 13 for x in (1, 3, 8, 9, 12)]  # 8 + 5 == 0
-    expected = mult_energy(ctx, shifted, shifted, method="oracle").count
-    for method in ("optimized", "oracle"):
-        code, out, _ = run_cli(
-            capsys, "count", "--p", "13", "--quantity", "energy",
-            "--elements", "1,3,8,9,12", "--shift", "5", "--method", method,
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["count"] == expected and payload["shift"] == 5
+    # 8 + 5 == 0; the large shifts do not fit int64 once added to an element
+    for shift in (5, 2**63 - 1, 2**70 + 5):
+        shifted = [(x + shift) % 13 for x in (1, 3, 8, 9, 12)]
+        expected = mult_energy(ctx, shifted, shifted, method="oracle").count
+        for method in ("optimized", "oracle"):
+            code, out, _ = run_cli(
+                capsys, "count", "--p", "13", "--quantity", "energy",
+                "--elements", "1,3,8,9,12", "--shift", str(shift), "--method", method,
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["count"] == expected and payload["shift"] == shift
 
 
 def test_count_argument_errors(capsys):
