@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+from sparsesums.errors import SparseSumsError
 from sparsesums.sweep import SweepConfig, emit_plot_data, run_sweep, write_records
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "bounds_survey.json"
@@ -26,9 +27,12 @@ def main() -> None:
     ap.add_argument("--workers", type=int, default=None)
     args = ap.parse_args()
 
-    cfg = SweepConfig.from_file(args.config)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
+    try:
+        cfg = SweepConfig.from_file(args.config)
+        if args.workers is not None:
+            cfg = replace(cfg, workers=args.workers)  # checked as the config file is
+    except SparseSumsError as exc:
+        ap.error(str(exc))
 
     t0 = time.time()
     records = run_sweep(cfg)

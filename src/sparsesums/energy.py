@@ -8,32 +8,29 @@ ORACLE_BLOCK_PAIRS products, one np.add.at per block. Every optimized count
 goes through one primitive, _cyclic_conv: the length-n cyclic convolution of
 two supports (unit weights on multisets, or weights on distinct residues).
 
-The set route takes any multiset of residues. The difference table
-d = diff_counts(U) convolves the support of U with its negation on Z/p.
-_mult_conv gives r(mu) = sum over x y == mu of a(x) b(y) for length-p
-tables by convolving the discrete logs of the two supports on Z/(p-1)
-(Rader's primitive-root reindexing): it returns
-r(0) = a(0) |b| + b(0) |a| - a(0) b(0) and r[t] = r(g^t), with nothing
-scattered back to residue order. D = r0^2 + sum r^2 for (d, d);
-N = r0 r0' + sum r r' for (1_F, d_G) and (1_F, d_H); I and J are r for
-(d_W, 1_Z) and (d_X, d_Y), read on residues with the mass at 0 set
-explicitly. E(U, V) convolves the exponent multisets dlog(u), dlog(v) of the
-nonzero elements; with z_U, z_V the multiplicities of 0,
-r(0) = z_U |V| + z_V |U| - z_U z_V and E = r(0)^2 + sum r^2.
+Every optimized count holds its tables in one periodic form
+(t(0), |t|, m, e, w): the value at 0, the total mass, a period m dividing
+n = p-1, and distinct exponents e mod m with weights w, so t(g^k) = w[i]
+when k == e[i] mod m. A multiset U that is not a Subgroup lives on m = n:
+its multiplicity table, or its difference table d = diff_counts(U) (the
+support of U convolved with its negation on Z/p), at the discrete logs of
+its nonzero residues (Rader's primitive-root reindexing). A subgroup X of
+order d_X lives on m_X = n / d_X: its indicator 1_X is the one point 0,
+and its difference table is d_X(0) = d_X and d_X(a) = A_X[dlog a mod m_X]
+for a != 0, where A_X[c] = #{u in X, u != 1 : dlog(u - 1) mod m_X == c}
+are the cyclotomic numbers of order m_X (Storer, Cyclotomy and Difference
+Sets, 1967), counted once per subgroup (Subgroup.classes).
 
-The class route is taken by d_times, n_triples, i_distribution and
-j_distribution when every set argument is a Subgroup. Write n = p-1 and, for
-a subgroup X of order d_X, m_X = n / d_X. A table invariant under X is a
-function of the class dlog(x) mod m_X; the difference table of X is
-d_X(0) = d_X and d_X(a) = A_X[dlog a mod m_X] for a != 0, where
-A_X[c] = #{u in X, u != 1 : dlog(u - 1) mod m_X == c} are the cyclotomic
-numbers of order m_X (Storer, Cyclotomy and Difference Sets, 1967), counted
-once per subgroup (Subgroup.classes). For class vectors x on Z/m_x and y on
-Z/m_y, with q = gcd(m_x, m_y) and x|q the fibre sum of x onto Z/q, the
-multiplicative convolution is the length-q cyclic one
-r(mu != 0) = (n / lcm(m_x, m_y)) (x|q * y|q)[dlog mu mod q], and
-n / lcm(m_X, m_Y) = gcd(d_X, d_Y). With 1_Z the class vector of Z (1 at
-class 0) and q = gcd of the two class periods:
+_mult_conv gives r(mu) = sum over x y == mu of a(x) b(y). With
+q = gcd(m_a, m_b) and a|q the fibre sum of a onto Z/q,
+r(0) = a(0) |b| + b(0) |a| - a(0) b(0) and r(g^t) = c v[t mod q] for
+v = a|q * b|q, a length-q cyclic convolution (a shifted fold when one table
+is a single point, as a subgroup's indicator is), and c = n / lcm(m_a, m_b).
+So D = r0^2 + c^2 (n/q) sum v^2 for (d_U, d_U); N = r0 r0' + c c' times
+the sum over t in Z/n of v[t mod q] v'[t mod q'] (_class_dot) for
+(1_F, d_G) and (1_F, d_H); I and J are r for (d_W, 1_Z) and (d_X, d_Y),
+read on residues with the mass at 0 set explicitly. On subgroups
+c = gcd(d_X, d_Y), and with q = gcd of the two class periods:
 
     r_XZ(mu != 0) = gcd(d_X, d_Z) A_X|q[dlog mu mod q]    (r for (d_X, 1_Z)),
     D(G)       = r0^2 + d^3 sum (A * A)^2,  r0 = 2 d^3 - d^2,
@@ -42,7 +39,10 @@ class 0) and q = gcd of the two class periods:
     J(mu != 0) = gcd(d_X, d_Y) (A_X|q * A_Y|q)[dlog mu mod q],
     zero_count = d_X d_Y^2 + d_Y d_X^2 - d_X d_Y:
 
-O(d + m) work and no length-p transform.
+O(d + m) work and no length-p transform when every argument is a
+Subgroup. E(U, V) convolves the exponent multisets dlog(u), dlog(v) of the
+nonzero elements; with z_U, z_V the multiplicities of 0,
+r(0) = z_U |V| + z_V |U| - z_U z_V and E = r(0)^2 + sum r^2.
 
 _cyclic_conv enumerates the pairs of its supports in int64, a bincount of
 the pair sums for unit weights and np.add.at for weighted pairs, in blocks
@@ -97,15 +97,6 @@ def _as_array(s) -> np.ndarray:
     return np.sort(np.asarray(s, dtype=np.int64))
 
 
-def _is_subgroup(*sets) -> bool:
-    return all(isinstance(s, Subgroup) for s in sets)
-
-
-def _table(p: int, u: np.ndarray) -> np.ndarray:
-    """Length-p multiplicity table of the residues of u."""
-    return np.bincount(u % p, minlength=p)
-
-
 def _dot(x: np.ndarray, y: np.ndarray) -> int:
     """Exact dot product of non-negative integer vectors: int64 np.dot over the
     entries with max^2 * len < 2**63, Python ints over the rest."""
@@ -152,14 +143,6 @@ def _dense(n: int, s: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     return x
 
 
-def _supports(x: np.ndarray, y: np.ndarray):
-    """(sx, sy, x[sx], y[sy]) over the nonzero entries of two tables, the
-    arguments of _cyclic_conv after n; the same arrays when y is x."""
-    sx = np.flatnonzero(x)
-    sy, wx = sx if y is x else np.flatnonzero(y), x[sx]
-    return sx, sy, wx, wx if y is x else y[sy]
-
-
 def _cyclic_conv(n: int, xs: np.ndarray, ys: np.ndarray, wx=None, wy=None) -> np.ndarray:
     """r[t] = sum over xs[i] + ys[j] == t mod n of wx[i] wy[j], for residues
     in [0, n): unit weights on multisets when wx and wy are None, else weights
@@ -191,38 +174,63 @@ def diff_counts(p: int, u) -> np.ndarray:
     return _cyclic_conv(p, xs, (p - xs) % p, wx, wx)
 
 
-def _mult_conv(ctx: FieldCtx, a: np.ndarray, b: np.ndarray) -> tuple[int, np.ndarray]:
-    """(r(0), r[t] = r(g**t)) for r(mu) = sum over x y == mu mod p of a[x] b[y],
-    length-p count tables: products of the supports are sums of their dlogs."""
-    a1 = a[1:]
-    sa, sb, wa, wb = _supports(a1, a1 if b is a else b[1:])
-    ea = ctx.dlog[sa + 1]
-    eb = ea if sb is sa else ctx.dlog[sb + 1]
-    a0, b0 = int(a[0]), int(b[0])
-    return a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0, _cyclic_conv(ctx.p - 1, ea, eb, wa, wb)
+def _indicator(ctx: FieldCtx, s) -> tuple:
+    """The multiplicity table of s; a subgroup's is the one point 0 on its classes."""
+    if isinstance(s, Subgroup):
+        return 0, s.order, (ctx.p - 1) // s.order, np.zeros(1, np.int64), np.ones(1, np.int64)
+    xs, w = np.unique(np.asarray(s, dtype=np.int64) % ctx.p, return_counts=True)
+    k = int(len(xs) > 0 and xs[0] == 0)  # 0 sorts first
+    return int(w[:k].sum()), len(s), ctx.p - 1, ctx.dlog[xs[k:]], w[k:]
 
 
-def _fold(x: np.ndarray, q: int) -> np.ndarray:
-    """Fibre sum of a vector on Z/len(x) onto Z/q, for q dividing len(x)."""
-    return x.reshape(-1, q).sum(axis=0)
+def _differences(ctx: FieldCtx, s) -> tuple:
+    """The difference table of s; a subgroup's lives on its cyclotomic classes."""
+    if isinstance(s, Subgroup):
+        a = s.classes(ctx)
+        e = np.flatnonzero(a)
+        return s.order, s.order**2, len(a), e, a[e]
+    d = diff_counts(ctx.p, s)
+    xs = np.flatnonzero(d[1:]) + 1
+    return int(d[0]), len(s) ** 2, ctx.p - 1, ctx.dlog[xs], d[xs]
 
 
-def _class_r(ctx: FieldCtx, x: Subgroup, z: Subgroup) -> np.ndarray:
-    """r_XZ(mu != 0) = sum over a z == mu of d_X(a) 1_Z(z) on Z/gcd(m_X, m_Z)."""
-    n = ctx.p - 1
-    q = math.gcd(n // x.order, n // z.order)
-    return math.gcd(x.order, z.order) * _fold(x.classes(ctx), q)
+def _fold(q: int, m: int, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The support (e, w) of period m folded onto Z/q, q dividing m; itself when q == m."""
+    if q == m:
+        return e, w
+    x = np.zeros(q, dtype=np.int64)
+    np.add.at(x, e % q, w)
+    s = np.flatnonzero(x)
+    return s, x[s]
+
+
+def _mult_conv(ctx: FieldCtx, a: tuple, b: tuple) -> tuple[int, int, np.ndarray]:
+    """(r(0), c, v) with r(g**t) = c v[t mod len(v)] for r(mu) = sum over
+    x y == mu mod p of a(x) b(y), two tables in periodic form."""
+    if len(a[3]) == 1:
+        a, b = b, a  # a one-point table shifts and scales the other
+    (a0, na, ma, ea, wa), (b0, nb, mb, eb, wb) = a, b
+    q = math.gcd(ma, mb)
+    xs, wx = _fold(q, ma, ea, wa)
+    if len(eb) == 1:
+        v = np.zeros(q, dtype=np.int64)
+        v[(xs + eb[0]) % q] = wx * wb[0]  # xs are distinct mod q
+    else:
+        ys, wy = (xs, wx) if b is a else _fold(q, mb, eb, wb)
+        v = _cyclic_conv(q, xs, ys, wx, wy)
+    return a0 * nb + b0 * na - a0 * b0, (ctx.p - 1) // math.lcm(ma, mb), v
 
 
 def _class_dot(n: int, r1: np.ndarray, r2: np.ndarray) -> int:
     """Sum over t in Z/n of r1[t mod len(r1)] r2[t mod len(r2)]."""
-    g = math.gcd(len(r1), len(r2))
-    return n // math.lcm(len(r1), len(r2)) * _dot(_fold(r1, g), _fold(r2, g))
+    g, period = math.gcd(len(r1), len(r2)), math.lcm(len(r1), len(r2))
+    r1, r2 = (r.reshape(-1, g).sum(axis=0) for r in (r1, r2))
+    return n // period * _dot(r1, r2)
 
 
-def _on_residues(ctx: FieldCtx, v: np.ndarray) -> np.ndarray:
-    """Length-p table t with t[0] = 0 and t[a] = v[dlog a mod len(v)]."""
-    return np.concatenate(([0], v[ctx.dlog[1:] % len(v)]))
+def _on_residues(ctx: FieldCtx, c: int, v: np.ndarray) -> np.ndarray:
+    """Length-p table t with t[0] = 0 and t[a] = c v[dlog a mod len(v)]."""
+    return np.concatenate(([0], (c * v)[ctx.dlog[1:] % len(v)]))
 
 
 def _distribution(r: np.ndarray, zero_count: int = 0) -> Distribution:
@@ -282,19 +290,11 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     Every route goes through the difference table d(a) and the answer is the
     sum of r(mu)^2 for r(mu) = sum over ab == mu of d(a) d(b). The oracle
     counts d over all pairs of U and accumulates the outer product of its
-    support directly, in blocks; the optimized route is the class route for a
-    subgroup, else _mult_conv(d, d).
+    support directly, in blocks; the optimized route is _mult_conv(d, d).
     """
     p = ctx.p
-    if method == "optimized" and _is_subgroup(us):
-        d = us.order
-        a = us.classes(ctx)
-        conv = _cyclic_conv(len(a), *_supports(a, a))
-        r0 = 2 * d**3 - d * d  # r(0): 2 d(0) |G|^2 - d(0)^2, d(0) = |G|
-        return CountValue(count=r0 * r0 + d**3 * _dot(conv, conv), method=method)
-
-    u = _as_array(us)
     if method == "oracle":
+        u = _as_array(us)
         if len(u) > DTIMES_ORACLE_MAX:
             raise BudgetExceeded(f"|U|={len(u)} exceeds oracle cap {DTIMES_ORACLE_MAX}")
         d = np.bincount(_difference_values(p, u), minlength=p)
@@ -311,11 +311,11 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
         return CountValue(count=r0 * r0 + _dot(r, r), method=method)
 
     if method == "optimized":
-        if len(u) ** 2 > FREQ_BUDGET or p > DTIMES_OPT_P_MAX:
-            raise BudgetExceeded(f"|U|^2={len(u) ** 2}, p={p} out of optimized range")
-        d = diff_counts(p, u)
-        r0, r = _mult_conv(ctx, d, d)  # r0 == 2 d(0) |U|^2 - d(0)^2
-        return CountValue(count=r0 * r0 + _dot(r, r), method=method)
+        if not isinstance(us, Subgroup) and (len(us) ** 2 > FREQ_BUDGET or p > DTIMES_OPT_P_MAX):
+            raise BudgetExceeded(f"|U|^2={len(us) ** 2}, p={p} out of optimized range")
+        d = _differences(ctx, us)
+        r0, c, v = _mult_conv(ctx, d, d)  # r0 == 2 d(0) |U|^2 - d(0)^2
+        return CountValue(count=r0 * r0 + c * c * ((p - 1) // len(v)) * _dot(v, v), method=method)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -325,31 +325,25 @@ def n_triples(
 ) -> CountValue:
     """Solutions of f1 (g1 - g2) == f2 (h1 - h2)."""
     p = ctx.p
-    f = _as_array(fs)
-    g = _as_array(gs)
-    h = _as_array(hs)
-    left_n = len(f) * len(g) ** 2
-    right_n = len(f) * len(h) ** 2
+    left_n = len(fs) * len(gs) ** 2
+    right_n = len(fs) * len(hs) ** 2
     if method == "optimized":
         if left_n > FREQ_BUDGET or right_n > FREQ_BUDGET:
             raise BudgetExceeded(
                 f"triple tables {left_n}/{right_n} exceed {FREQ_BUDGET}"
             )
-        if _is_subgroup(fs, gs, hs):
-            r_fg = _class_r(ctx, gs, fs)
-            r_fh = r_fg if len(g) == len(h) else _class_r(ctx, hs, fs)  # one subgroup per order
-            count = len(f) ** 2 * len(g) * len(h) + _class_dot(p - 1, r_fg, r_fh)
-            return CountValue(count=count, method=method)
-        table_f = _table(p, f)
-        r0_fg, r_fg = _mult_conv(ctx, table_f, diff_counts(p, g))
-        same = np.array_equal(g, h)
-        r0_fh, r_fh = (r0_fg, r_fg) if same else _mult_conv(ctx, table_f, diff_counts(p, h))
-        return CountValue(count=r0_fg * r0_fh + _dot(r_fg, r_fh), method=method)
+        ind_f = _indicator(ctx, fs)
+        fg = _mult_conv(ctx, ind_f, _differences(ctx, gs))
+        fh = fg if hs is gs else _mult_conv(ctx, ind_f, _differences(ctx, hs))
+        (r0_g, c_g, v_g), (r0_h, c_h, v_h) = fg, fh
+        count = r0_g * r0_h + c_g * c_h * _class_dot(p - 1, v_g, v_h)
+        return CountValue(count=count, method=method)
     if method == "oracle":
         if left_n > ORACLE_PAIR_BUDGET or right_n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(
                 f"oracle pair comparison {left_n}x{right_n} exceeds {ORACLE_PAIR_BUDGET}"
             )
+        f, g, h = map(_as_array, (fs, gs, hs))
         left = ((f[:, None] * _difference_values(p, g)[None, :]) % p).reshape(-1)
         right = ((f[:, None] * _difference_values(p, h)[None, :]) % p).reshape(-1)
         return CountValue(count=_equal_pairs(left, right), method=method)
@@ -363,28 +357,19 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
     table total + zero_count equals |X|^2 |Y|^2.
     """
     p = ctx.p
-    x = _as_array(xs)
-    y = _as_array(ys)
-    mass = len(x) ** 2 * len(y) ** 2
+    mass = len(xs) ** 2 * len(ys) ** 2
     if method == "optimized":
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"J frequency product {mass} exceeds {FREQ_BUDGET}")
-        if _is_subgroup(xs, ys):
-            r_xy = _class_r(ctx, xs, ys)
-            a_y = _fold(ys.classes(ctx), len(r_xy))
-            dx, dy = len(x), len(y)
-            zero_count = dx * dy * dy + dy * dx * dx - dx * dy
-            v = _cyclic_conv(len(r_xy), *_supports(r_xy, a_y))
-        else:
-            zero_count, v = _mult_conv(ctx, diff_counts(p, x), diff_counts(p, y))
-        r = _on_residues(ctx, v)
+        zero_count, c, v = _mult_conv(ctx, _differences(ctx, xs), _differences(ctx, ys))
+        r = _on_residues(ctx, c, v)
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"J oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
         r = np.zeros(p, dtype=np.int64)
         zero_count = 0
-        dx_list = _difference_values(p, x).tolist()
-        dy_list = _difference_values(p, y).tolist()
+        dx_list = _difference_values(p, _as_array(xs)).tolist()
+        dy_list = _difference_values(p, _as_array(ys)).tolist()
         for a in dx_list:
             for b in dy_list:
                 mu = a * b % p
@@ -481,26 +466,21 @@ def cauchy_step_report(ctx: FieldCtx, f: Subgroup, g: Subgroup, h: Subgroup) -> 
 def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribution:
     """I(lam) = #{(w1,w2,z) : z (w1 - w2) == lam}, lam == 0 included."""
     p = ctx.p
-    w = _as_array(ws)
-    z = _as_array(zs)
-    mass = len(w) ** 2 * len(z)
+    mass = len(ws) ** 2 * len(zs)
     if method == "optimized":
         if mass > FREQ_BUDGET:
             raise BudgetExceeded(f"I frequency product {mass} exceeds {FREQ_BUDGET}")
-        if _is_subgroup(ws, zs):
-            r0, v = len(w) * len(z), _class_r(ctx, ws, zs)
-        else:
-            r0, v = _mult_conv(ctx, diff_counts(p, w), _table(p, z))
-        r = _on_residues(ctx, v)
+        r0, c, v = _mult_conv(ctx, _differences(ctx, ws), _indicator(ctx, zs))
+        r = _on_residues(ctx, c, v)
         r[0] = r0
     elif method == "oracle":
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"I oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
         r = np.zeros(p, dtype=np.int64)
-        w_list = w.tolist()
+        w_list, z_list = _as_array(ws).tolist(), _as_array(zs).tolist()
         for w1 in w_list:
             for w2 in w_list:
-                for zz in z.tolist():
+                for zz in z_list:
                     r[zz * (w1 - w2) % p] += 1
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -125,15 +125,6 @@ class FieldCtx:
     # order -> Subgroup, filled by subgroups.subgroup_of_order
     subgroups: dict = field(default_factory=dict, init=False, repr=False)
 
-    def dlog_of(self, x: int) -> int:
-        if x % self.p == 0:
-            raise ZeroDivisionError("discrete log of 0 is undefined")
-        return int(self.dlog[x % self.p])
-
-    def e_p(self, u: int) -> complex:
-        """Additive character exp(2*pi*i*u/p)."""
-        return complex(self.e_table[u % self.p])
-
 
 def make_field_ctx(p: int) -> FieldCtx:
     """Build a FieldCtx for prime p, 3 <= p < 2**31.
@@ -219,10 +210,6 @@ class SparsePoly:
     @property
     def exponents(self) -> tuple[int, ...]:
         return tuple(k for _, k in self.terms)
-
-    @property
-    def max_exponent(self) -> int:
-        return max(self.exponents)
 
     def __str__(self) -> str:
         return ";".join(f"{c},{k}" for c, k in self.terms)

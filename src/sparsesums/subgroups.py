@@ -164,10 +164,6 @@ class GcdParams:
     h: int
     role_perm: tuple[int, int, int, int]
 
-    @property
-    def p_over_delta(self) -> float:
-        return self.p / self.delta
-
 
 def _pack_for_delta_role(p: int, exps: tuple[int, int, int, int], delta_pos: int) -> GcdParams:
     delta = gcd(exps[delta_pos], p - 1)

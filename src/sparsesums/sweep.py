@@ -96,6 +96,22 @@ class SweepConfig:
     workers: int
     mode: str
 
+    def __post_init__(self) -> None:
+        # The scalar checks live here so that dataclasses.replace (the CLI
+        # overrides) is checked exactly as a config file is.
+        seed = self.seed
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+            raise ConfigInvalid("seed: must be an integer in [0, 2**64)")
+        ceiling = self.ratio_ceiling
+        if not isinstance(ceiling, (int, float)) or isinstance(ceiling, bool) or ceiling <= 0:
+            raise ConfigInvalid("ratio_ceiling: must be a positive number")
+        object.__setattr__(self, "ratio_ceiling", float(ceiling))
+        workers = self.workers
+        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+            raise ConfigInvalid("workers: must be an integer >= 1")
+        if self.mode not in ("canonical", "best"):
+            raise ConfigInvalid("mode: must be 'canonical' or 'best'")
+
     def budget(self, name: str) -> int:
         return dict(self.budgets).get(name, DEFAULT_BUDGETS[name])
 
@@ -114,20 +130,6 @@ class SweepConfig:
         characters = _validate_characters(merged["characters"])
         suites = _validate_suites(merged["suites"])
         budgets = _validate_budgets(merged["budgets"])
-
-        seed = merged["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
-            raise ConfigInvalid("seed: must be an integer in [0, 2**64)")
-        ceiling = merged["ratio_ceiling"]
-        if not isinstance(ceiling, (int, float)) or isinstance(ceiling, bool) or ceiling <= 0:
-            raise ConfigInvalid("ratio_ceiling: must be a positive number")
-        workers = merged["workers"]
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-            raise ConfigInvalid("workers: must be an integer >= 1")
-        mode = merged["mode"]
-        if mode not in ("canonical", "best"):
-            raise ConfigInvalid("mode: must be 'canonical' or 'best'")
-
         return cls(
             primes=primes,
             poly_kind=poly_kind,
@@ -135,10 +137,10 @@ class SweepConfig:
             characters=characters,
             suites=suites,
             budgets=budgets,
-            seed=seed,
-            ratio_ceiling=float(ceiling),
-            workers=workers,
-            mode=mode,
+            seed=merged["seed"],
+            ratio_ceiling=merged["ratio_ceiling"],
+            workers=merged["workers"],
+            mode=merged["mode"],
         )
 
     @classmethod

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +193,42 @@ def test_seed_and_workers_overrides(capsys, tmp_path):
     # different seed, different generated polynomial
     body = lambda pth: [ln for ln in pth.read_text().splitlines()[1:]]
     assert body(a) != body(b)
+
+
+# (flag, value, the ConfigInvalid text a config file with that value gets)
+BAD_OVERRIDES = [
+    ("--seed", str(2**64), "seed: must be an integer in [0, 2**64)"),
+    ("--seed", "-1", "seed: must be an integer in [0, 2**64)"),
+    ("--workers", "0", "workers: must be an integer >= 1"),
+]
+
+
+@pytest.mark.parametrize("flag, value, message", BAD_OVERRIDES)
+def test_overrides_are_checked_as_the_config_file_is(capsys, tmp_path, flag, value, message):
+    body = {"primes": [11], "polynomials": {"random": {"count": 1}}, "suites": ["weil"]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(body))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**body, flag[2:]: int(value)}))
+    out = ["--out", str(tmp_path / "run.jsonl")]
+    for argv in (
+        ["verify", "--config", str(bad)],
+        ["verify", "--config", str(cfg), flag, value],
+        ["verify", flag, value],  # over the default config
+        ["sweep", "--config", str(cfg), flag, value, *out],
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert f"error: {message}" in err, argv
+    assert not (tmp_path / "run.jsonl").exists()
+
+
+def test_bounds_survey_workers_override_is_checked(capsys, monkeypatch, tmp_path):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bounds_survey.py"
+    argv = [str(script), "--workers", "0", "--out-dir", str(tmp_path / "survey")]
+    monkeypatch.setattr(sys, "argv", argv)
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    assert "workers: must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "survey").exists()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -269,39 +270,59 @@ def test_j_distribution_mass_and_frozen_square_sum(ctx13):
     assert oracle.zero_count == dist.zero_count
 
 
+def _agreed(result):
+    """What two routes must agree on: the count, or the table and its key order."""
+    return result.count if isinstance(result, energy.CountValue) else (result, list(result.table))
+
+
+def _mixes_agree(ctx, fn, args, oracle: bool, mixes=()):
+    """fn on args gives the all-list value with every Subgroup argument kept
+    and with only the positions of each mix kept, the others as element
+    lists; so does the oracle when asked."""
+    as_list = lambda a: list(a.elements) if isinstance(a, subgroups.Subgroup) else a
+    value = _agreed(fn(ctx, *map(as_list, args)))
+    for kept in [range(len(args)), *mixes]:
+        mixed = [a if i in kept else as_list(a) for i, a in enumerate(args)]
+        assert _agreed(fn(ctx, *mixed)) == value, (fn.__name__, args, list(kept))
+    if oracle:
+        assert _agreed(fn(ctx, *args, method="oracle")) == value, (fn.__name__, args)
+
+
+# Subgroups kept beside element lists in N: F alone, G and H alone or together
+TRIPLE_MIXES = [(0,), (1, 2), (1,), (0, 2), (2,), (0, 1)]
+
+
 def _class_and_set_routes_agree(ctx, subs, oracle_max: int = 0):
-    """Every counter with a class route, on Subgroup inputs and on the same
-    elements as lists (the set route), for the given subgroups: d_times on
-    each, n_triples on each ordered triple, I and J on each ordered pair.
+    """Every counter on the given subgroups as Subgroups, as element lists
+    (the set route) and mixed: d_times on each, n_triples on each ordered
+    triple (one mix of TRIPLE_MIXES each, in turn), I and J on each ordered
+    pair (each Subgroup beside the other as a list). A multiset holding 0 and
+    repeats joins beside each Subgroup as F of N (G = H), W and Z of I, and X
+    and Y of J.
 
     The oracle joins where its budget allows and its enumeration (solutions
     compared for N, Python-loop steps for I and J) is at most oracle_max."""
-    els = {s.order: list(s.elements) for s in subs}
+    p = ctx.p
+    multiset = [0, 0, 1, p + 1, p - 1, 2 * p - 1]  # 0, 1 and -1 twice each
     for s in subs:
-        value = d_times(ctx, s).count
-        assert value == d_times(ctx, els[s.order]).count
-        if oracle_max and s.order <= energy.DTIMES_ORACLE_MAX:
-            assert value == d_times(ctx, s, method="oracle").count
+        _mixes_agree(ctx, d_times, (s,), oracle_max and len(s) <= energy.DTIMES_ORACLE_MAX)
+    turn = 0
     for f in subs:
         for g in subs:
-            for h in subs:
-                value = n_triples(ctx, f, g, h).count
-                assert value == n_triples(ctx, els[f.order], els[g.order], els[h.order]).count
-                left, right = f.order * g.order**2, f.order * h.order**2
-                if max(left, right) <= energy.ORACLE_PAIR_BUDGET and left * right <= oracle_max:
-                    assert value == n_triples(ctx, f, g, h, method="oracle").count
-            dist = i_distribution(ctx, f, g)
-            on_set = i_distribution(ctx, els[f.order], els[g.order])
-            assert dist == on_set and list(dist.table) == list(on_set.table)
-            if f.order**2 * g.order <= oracle_max:
-                assert dist == i_distribution(ctx, f, g, method="oracle")
-            if f.order**2 * g.order**2 > energy.FREQ_BUDGET:
-                continue
-            dist = j_distribution(ctx, f, g)
-            on_set = j_distribution(ctx, els[f.order], els[g.order])
-            assert dist == on_set and list(dist.table) == list(on_set.table)
-            if f.order**2 * g.order**2 <= oracle_max:
-                assert dist == j_distribution(ctx, f, g, method="oracle")
+            triples = [(f, g, h) for h in subs] + ([(multiset, f, f)] if f is g else [])
+            for x, y, z in triples:
+                left, right = len(x) * len(y) ** 2, len(x) * len(z) ** 2
+                oracle = (
+                    max(left, right) <= energy.ORACLE_PAIR_BUDGET and left * right <= oracle_max
+                )
+                _mixes_agree(ctx, n_triples, (x, y, z), oracle, [TRIPLE_MIXES[turn % 6]])
+                turn += 1
+            for x, y in [(f, g), (multiset, g), (f, multiset)] if f is g else [(f, g)]:
+                oracle = len(x) ** 2 * len(y) <= oracle_max
+                _mixes_agree(ctx, i_distribution, (x, y), oracle, [(0,), (1,)])
+                if len(x) ** 2 * len(y) ** 2 <= energy.FREQ_BUDGET:
+                    oracle = len(x) ** 2 * len(y) ** 2 <= oracle_max
+                    _mixes_agree(ctx, j_distribution, (x, y), oracle, [(0,), (1,)])
 
 
 def test_class_route_matches_set_route_and_oracle_on_all_subgroups():
@@ -393,6 +414,27 @@ def test_d_times_class_route_above_the_set_route_p_cap(monkeypatch):
         d_times(ctx, list(sub.elements))
     monkeypatch.setattr(energy, "DTIMES_OPT_P_MAX", p)
     assert value == d_times(ctx, list(sub.elements)).count
+
+
+def _peak_bytes(call) -> int:
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_subgroup_counts_allocate_nothing_of_length_p():
+    p = 1_000_033  # 96 divides p - 1; the classes live on Z/10,417
+    ctx = ctx_for(p)
+    sub = subgroup_of_order(ctx, 96)
+    for call in (lambda: d_times(ctx, sub), lambda: n_triples(ctx, sub, sub, sub)):
+        assert _peak_bytes(call) < p
+    # the same elements as a list take the length-p route, which the peak sees
+    els = list(sub.elements)
+    assert _peak_bytes(lambda: n_triples(ctx, els, els, els)) > p
 
 
 def test_product_set_multiplicative_span(ctx31):
@@ -492,8 +534,14 @@ def test_inputs_failing_the_bound_take_the_exact_route(monkeypatch):
     monkeypatch.setattr(
         energy, "_cyclic_fft", lambda *args: returned.append(transform(*args)) or returned[-1]
     )
-    r0, r = energy._mult_conv(ctx, a, b)
+    # the periodic forms on Z/(p-1) of the two dense tables
+    nonzero = np.arange(1, 101)
+    table_a, table_b = (
+        (int(t[0]), int(t.sum()), 100, ctx.dlog[nonzero], t[nonzero]) for t in (a, b)
+    )
+    r0, c, r = energy._mult_conv(ctx, table_a, table_b)
     assert returned == [None]
+    assert c == 1  # both tables on Z/(p-1)
     assert r.tolist() == _direct_cyclic(x, y)  # r[t] = r(g**t)
     a0, b0 = int(a[0]), int(b[0])
     assert r0 == a0 * int(b.sum()) + b0 * int(a.sum()) - a0 * b0
