@@ -92,15 +92,20 @@ class Distribution:
 
 
 def _as_array(s) -> np.ndarray:
+    """The elements of s as an int64 array; every count is order-independent."""
     if isinstance(s, Subgroup):
         return s.as_array()
-    return np.sort(np.asarray(s, dtype=np.int64))
+    return np.asarray(s, dtype=np.int64)
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> int:
-    """Exact dot product of non-negative integer vectors: int64 np.dot over the
-    entries with max^2 * len < 2**63, Python ints over the rest."""
-    limit = math.isqrt((2**63 - 1) // max(1, len(x)))
+    """Exact dot product of non-negative integer vectors: one int64 np.dot when
+    max(x) max(y) len < 2**63, else int64 over the entries with
+    max^2 * len < 2**63 and Python ints over the rest."""
+    mx = int(x.max(initial=0))
+    if mx * (mx if y is x else int(y.max(initial=0))) * len(x) < 2**63:
+        return int(np.dot(x, y))
+    limit = math.isqrt((2**63 - 1) // len(x))
     big = (x > limit) | (y > limit)
     if not big.any():
         return int(np.dot(x, y))
@@ -245,16 +250,15 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
     """Solutions of u1 v1 == u2 v2 mod p with u_i in U, v_i in V."""
     p = ctx.p
     u = _as_array(us)
-    v = _as_array(vs)
+    v = u if vs is us else _as_array(vs)
     n = len(u) * len(v)
     if method == "optimized":
         if n > FREQ_BUDGET:
             raise BudgetExceeded(f"product table of size {n} exceeds {FREQ_BUDGET}")
-        u, v = u % p, v % p
-        zu, zv = len(u) - int(np.count_nonzero(u)), len(v) - int(np.count_nonzero(v))
+        eu = _exponents(ctx, u)
+        ev = eu if vs is us else _exponents(ctx, v)
+        zu, zv = len(u) - len(eu), len(v) - len(ev)
         r0 = zu * len(v) + zv * len(u) - zu * zv  # u v == 0: u == 0 or v == 0
-        eu = ctx.dlog[u[u != 0]]
-        ev = eu if np.array_equal(u, v) else ctx.dlog[v[v != 0]]
         r = _cyclic_conv(p - 1, eu, ev)
         return CountValue(count=r0 * r0 + _dot(r, r), method=method)
     if method == "oracle":
@@ -263,6 +267,12 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
         prods = ((u[:, None] * v[None, :]) % p).reshape(-1)
         return CountValue(count=_equal_pairs(prods, prods), method=method)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _exponents(ctx: FieldCtx, s: np.ndarray) -> np.ndarray:
+    """The discrete logs of the elements of s that are nonzero mod p."""
+    s = s % ctx.p
+    return ctx.dlog[s[s != 0]]
 
 
 def _equal_pairs(left: np.ndarray, right: np.ndarray) -> int:

@@ -1,13 +1,17 @@
 """Prime-field context: primality, primitive root, discrete-log and phase tables.
 
 Everything downstream (character sums, counting, sweeps) works through a
-FieldCtx, which precomputes for a prime p:
+FieldCtx, which precomputes for a prime p, 32p - 8 bytes in all:
 
   * dlog[x]   : index of x with respect to the smallest primitive root g,
                 i.e. g**dlog[x] == x (mod p), for x in 1..p-1,
-  * g_pow[t]  : g**t (mod p) for t in 0..p-2,
-  * e_table[u]: exp(2*pi*i*u/p) for u in 0..p-1 (additive characters),
-  * chi_unit[u]: exp(2*pi*i*u/(p-1)) (multiplicative character values).
+  * g_pow[t]  : g**t (mod p) for t in 0..p-2, built by doubling,
+  * e_table[u]: exp(2*pi*i*u/p) for u in 0..p-1 (additive characters).
+
+Multiplicative character values exp(2*pi*i*u/(p-1)) are not stored: the
+character sums evaluate them per chunk with `roots_of_unity`, the expression
+that also fills e_table, so a value does not depend on where it is computed.
+`FieldCtx.chi_unit` builds the length p-1 table on first access only.
 
 p is capped below 2**31 so every modular product of two residues fits in a
 signed 64-bit intermediate.
@@ -16,6 +20,7 @@ signed 64-bit intermediate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -88,25 +93,24 @@ def smallest_primitive_root(p: int) -> int:
     raise ArithmeticError(f"no primitive root found for p={p}")
 
 
-def _power_table(g: int, p: int) -> np.ndarray:
-    """g**t mod p for t in 0..p-2, built in blocks to avoid a length-p Python loop."""
-    n = p - 1
-    block = min(n, 1024)
-    small = np.empty(block, dtype=np.int64)
-    cur = 1
-    for t in range(block):
-        small[t] = cur
-        cur = cur * g % p
-    n_blocks = -(-n // block)
-    # leading factors g**(block*i), i = 0..n_blocks-1
-    lead = np.empty(n_blocks, dtype=np.int64)
-    step = pow(g, block, p)
-    cur = 1
-    for i in range(n_blocks):
-        lead[i] = cur
-        cur = cur * step % p
-    table = (lead[:, None] * small[None, :]) % p
-    return table.reshape(-1)[:n]
+def _powers(base: int, count: int, p: int) -> np.ndarray:
+    """base**t mod p for t in 0..count-1, by doubling: log2(count) array steps."""
+    out = np.empty(count, dtype=np.int64)
+    out[:1] = 1
+    k, step = 1, base % p  # step == base**k mod p
+    while k < count:
+        m = min(k, count - k)
+        block = out[k : k + m]
+        np.multiply(out[:m], step, out=block)
+        np.remainder(block, p, out=block)
+        k, step = k + m, step * step % p
+    return out
+
+
+def roots_of_unity(u: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(2*pi*i*u/n) for an int64 array u: the one expression of every
+    character value, whose bits do not depend on the array's size."""
+    return np.exp(2j * np.pi * u / n, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,9 +125,19 @@ class FieldCtx:
     dlog: np.ndarray = field(repr=False)    # length p; dlog[0] = -1
     g_pow: np.ndarray = field(repr=False)   # length p-1
     e_table: np.ndarray = field(repr=False)  # length p, complex128
-    chi_unit: np.ndarray = field(repr=False)  # length p-1, complex128
     # order -> Subgroup, filled by subgroups.subgroup_of_order
     subgroups: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def chi_unit(self) -> np.ndarray:
+        """exp(2*pi*i*u/(p-1)) for u in 0..p-2, built on first access; the
+        package itself evaluates these values per chunk and never reads it."""
+        n = self.p - 1
+        table = np.empty(n, dtype=np.complex128)
+        for start in range(0, n, TABLE_BLOCK):
+            u = np.arange(start, min(start + TABLE_BLOCK, n), dtype=np.int64)
+            roots_of_unity(u, n, out=table[start : start + len(u)])
+        return table
 
 
 def make_field_ctx(p: int) -> FieldCtx:
@@ -139,19 +153,17 @@ def make_field_ctx(p: int) -> FieldCtx:
     if not is_prime(p):
         raise CompositeModulus(f"p={p} is not prime")
     g = smallest_primitive_root(p)
-    g_pow = _power_table(g, p)
+    g_pow = _powers(g, p - 1, p)
     dlog = np.full(p, -1, dtype=np.int64)
     e_table = np.empty(p, dtype=np.complex128)
-    chi_unit = np.empty(p - 1, dtype=np.complex128)
     # Filled block by block straight into the final arrays, so no length-p
     # temporaries are made; each entry is the same expression as for one array.
     for start in range(0, p, TABLE_BLOCK):
         u = np.arange(start, min(start + TABLE_BLOCK, p), dtype=np.int64)
-        np.exp(2j * np.pi * u / p, out=e_table[start : start + len(u)])
+        roots_of_unity(u, p, out=e_table[start : start + len(u)])
         u = u[u < p - 1]
-        np.exp(2j * np.pi * u / (p - 1), out=chi_unit[start : start + len(u)])
         dlog[g_pow[start : start + len(u)]] = u
-    return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow, e_table=e_table, chi_unit=chi_unit)
+    return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow, e_table=e_table)
 
 
 @dataclass(frozen=True)

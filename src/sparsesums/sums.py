@@ -7,9 +7,18 @@ consecutive t (`_t_terms`):
   * Psi(g**t) mod p: for t = start + s, each monomial c*x**k contributes
     (c * g**(k*start) mod p) * g_pow[(k*s) mod p-1]. The table over s is built
     once per monomial and scaled per chunk by a Python int below p, so every
-    product stays below p**2 < 2**62 and the phase is the exact integer.
-  * chi_j(g**t) = chi_unit[j*t mod p-1] and e_p(u) = e_table[u]; the two are
-    multiplied into one reused buffer, so every p takes the same multiply loop.
+    product stays below p**2 < 2**62 and the phase is the exact integer. The
+    products are added unreduced while their sum fits in int64, which at
+    every p up to about 2**30 means one reduction per chunk.
+  * e_p(u) = e_table[u], and chi_j(g**t) = exp(2*pi*i*u/(p-1)) for
+    u = j*t mod p-1, evaluated per chunk by `field.roots_of_unity`: bit for
+    bit the values a stored length p-1 table would hold, without the table's
+    16 B per residue. For j == 0 mod p-1 the terms are the e_p values as they
+    are. Otherwise the two are multiplied out of place into one reused buffer,
+    so every p and chunk size takes the same multiply loop.
+  * Both reductions mod p and mod p-1 are a - (a // p) * p in reused int64
+    buffers: a floor division by a scalar is faster than numpy's remainder,
+    and gives the same integers.
 
 The real and imaginary parts are summed by `_ExactSum`, an error-free
 extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
@@ -37,7 +46,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetExceeded, NonzeroRequired
-from .field import FieldCtx, SparsePoly
+from .field import FieldCtx, SparsePoly, roots_of_unity
 
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
@@ -158,22 +167,50 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     """Yield (start, terms) with terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s.
 
     The chunks cover t = 0..p-2 in order, CHUNK exponents at a time. `terms` is
-    one reused buffer: it is valid until the next chunk is drawn.
+    valid until the next chunk is drawn.
     """
     p, g, n = ctx.p, ctx.g, ctx.p - 1
     j = chi.j % n
     size = min(n, CHUNK)
     s = np.arange(size, dtype=np.int64)
     tables = [(c, k, ctx.g_pow[(k * s) % n]) for c, k in psi.terms]
+    batch = _unreduced_terms(p)
+    groups = [tables[i : i + batch] for i in range(0, len(tables), batch)]
+    js = s * j % n
+    acc, t, q = np.empty((3, size), dtype=np.int64)
     out = np.empty(size, dtype=np.complex128)
     for start in range(0, n, size):
         m = min(size, n - start)
-        acc = np.zeros(m, dtype=np.int64)
-        for c, k, table in tables:
-            acc = (acc + table[:m] * (c * pow(g, k * start, p) % p)) % p
-        t = (s[:m] + start) * j % n
-        np.multiply(ctx.chi_unit[t], ctx.e_table[acc], out=out[:m])
+        acc[:m] = 0
+        for group in groups:
+            for c, k, table in group:
+                np.multiply(table[:m], c * pow(g, k * start, p) % p, out=q[:m])
+                np.add(acc[:m], q[:m], out=acc[:m])
+            _reduce(acc[:m], p, q[:m])
+        e = ctx.e_table[acc[:m]]
+        if not j:  # chi_0 is 1 + 0j, and multiplying by it changes no bit
+            yield start, e
+            continue
+        np.add(js[:m], j * start % n, out=t[:m])
+        _reduce(t[:m], n, q[:m])
+        # out of place: numpy rounds an aliased one-element complex product
+        # by another loop than longer arrays, so chunk sizes would show
+        np.multiply(roots_of_unity(t[:m], n), e, out=out[:m])
         yield start, out[:m]
+
+
+def _unreduced_terms(p: int) -> int:
+    """How many products below (p-1)**2 add to a residue below p within
+    2**63 - 1: two near p = 2**31, eight at 2**30, about 93,000 at 1e7."""
+    return (2**63 - p) // (p - 1) ** 2
+
+
+def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> None:
+    """a %= p in place for 0 <= a < 2**63, as a - (a // p) p: a floor division
+    by a scalar is about twice as fast as numpy's remainder."""
+    np.floor_divide(a, p, out=scratch)
+    np.multiply(scratch, p, out=scratch)
+    np.subtract(a, scratch, out=a)
 
 
 def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:

@@ -16,7 +16,7 @@ from sparsesums import (
     make_field_ctx,
     smallest_primitive_root,
 )
-from sparsesums.field import divisors
+from sparsesums.field import _powers, divisors
 from conftest import ctx_for
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 101, 499]
@@ -96,11 +96,38 @@ def test_block_built_tables_equal_the_whole_array_formulas(monkeypatch, p, block
     whole_dlog = np.full(p, -1, dtype=np.int64)
     whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int64)
     assert ctx.e_table.tobytes() == whole_e.tobytes()
-    assert ctx.chi_unit.tobytes() == whole_chi.tobytes()
     assert ctx.dlog.tobytes() == whole_dlog.tobytes()
-    tables = (ctx.dlog, ctx.g_pow, ctx.e_table, ctx.chi_unit)
-    assert [t.dtype for t in tables] == [np.int64, np.int64, np.complex128, np.complex128]
-    assert sum(t.nbytes for t in tables) == 48 * p - 24
+    tables = (ctx.dlog, ctx.g_pow, ctx.e_table)
+    assert [t.dtype for t in tables] == [np.int64, np.int64, np.complex128]
+    assert sum(t.nbytes for t in tables) == 32 * p - 8
+    # the character table is built only when asked for, by the same expression
+    assert "chi_unit" not in ctx.__dict__
+    assert ctx.chi_unit.tobytes() == whole_chi.tobytes()
+    assert ctx.chi_unit is ctx.chi_unit
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 1999, 65537, 100003])
+def test_powers_by_doubling_equal_builtin_pow(p):
+    g = smallest_primitive_root(p)
+    for count in (1, 2, 3, p - 2, p - 1):
+        t = np.unique(np.linspace(0, count - 1, 300).astype(np.int64)).tolist()
+        assert _powers(g, count, p)[t].tolist() == [pow(g, x, p) for x in t]
+
+
+def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
+    # 32 bytes per residue (dlog 8, g_pow 8, e_table 16) plus block temporaries
+    # whatever p is: no character table and no length-p scratch
+    import tracemalloc
+
+    p = 982_801
+    tracemalloc.start()
+    try:
+        ctx = make_field_ctx(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "chi_unit" not in ctx.__dict__
+    assert peak < 32 * p + 4 * 2**20
 
 
 def test_make_field_ctx_rejects_bad_moduli():

@@ -162,6 +162,76 @@ def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, p, chunks)
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("p, chunk", [(101, 7), (65539, 1000)])
+def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
+    # chi_j(g**t) is evaluated chunk by chunk as exp(2 pi i u/(p-1)), u = j t
+    # mod p-1: bit for bit the values of one whole-array table, across chunk
+    # boundaries, and no evaluation at all when j == 0 mod p-1
+    ctx = ctx_for(p)
+    n = p - 1
+    psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
+    t = np.arange(n, dtype=np.int64)
+    phase = np.zeros(n, dtype=np.int64)
+    for c, k in psi.terms:
+        phase = (phase + c * ctx.g_pow[(k * t) % n]) % p
+    e_vals = ctx.e_table[phase]
+    calls = []
+
+    def spy(u, m, out=None):
+        values = sums_roots(u, m, out)
+        calls.append((u.copy(), m, values.copy()))
+        return values
+
+    sums_roots = sums.roots_of_unity
+    monkeypatch.setattr(sums, "CHUNK", chunk)
+    monkeypatch.setattr(sums, "roots_of_unity", spy)
+    for j in (0, 1, 10, n, n + 3):  # gcd(10, p-1) > 1; n == 0 and n + 3 == 3 mod p-1
+        calls.clear()
+        terms = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, CharacterIndex(j))])
+        if j % n == 0:
+            assert calls == []
+            assert terms.tobytes() == e_vals.tobytes()
+            continue
+        u = j * t % n
+        chi_vals = np.exp(2j * np.pi * u / (p - 1))
+        assert len(calls) == -(-n // chunk) and {m for _, m, _ in calls} == {n}
+        assert np.concatenate([x for x, _, _ in calls]).tolist() == u.tolist()
+        assert np.concatenate([v for _, _, v in calls]).tobytes() == chi_vals.tobytes()
+        assert terms.tobytes() == np.multiply(chi_vals, e_vals).tobytes()
+
+
+def test_phase_sums_are_reduced_before_they_can_overflow(monkeypatch):
+    for p in (3, 101, 9_959_041, 2**30 + 3, 2**31 - 1):
+        b = sums._unreduced_terms(p)
+        assert p - 1 + b * (p - 1) ** 2 < 2**63 <= p - 1 + (b + 1) * (p - 1) ** 2
+    assert sums._unreduced_terms(2**31 - 1) == 2
+    # grouped as near 2**31, the phases and terms are the same
+    p = 101
+    ctx = ctx_for(p)
+    psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11), (5, 13)])
+    chi = CharacterIndex(7)
+    whole = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)])
+    for batch in (1, 2):
+        monkeypatch.setattr(sums, "_unreduced_terms", lambda p, b=batch: b)
+        grouped = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)])
+        assert grouped.tobytes() == whole.tobytes()
+
+
+def test_sums_and_bounds_never_build_the_character_table():
+    from sparsesums.bounds import compare_bounds
+    from sparsesums.field import make_field_ctx
+
+    p = 1801
+    ctx = make_field_ctx(p)  # a fresh context: no other test has read its tables
+    psi = _gcd_structured_quadrinomial(np.random.default_rng(p), p, (9, 10, 4))
+    for j in (0, 1, 5):
+        chi = CharacterIndex(j)
+        sum_exact(ctx, psi, chi)
+        sum_decomposed(ctx, psi, chi)
+        compare_bounds(ctx, psi, chi)
+    assert "chi_unit" not in ctx.__dict__
+
+
 @pytest.mark.parametrize("p", [101, 16381, 16411])
 def test_sum_exact_equals_fsum_of_residue_order_product(p):
     # residue order, x**k = g_pow[k*dlog[x]], one out-of-place multiply: the
