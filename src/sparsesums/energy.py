@@ -6,33 +6,38 @@ optimized route. The d_times oracle enumerates all pairs of U for its
 difference table and the outer product of that table's support in blocks of
 ORACLE_BLOCK_PAIRS products, one np.add.at per block. Every optimized count
 goes through one primitive, _cyclic_conv: the length-n cyclic convolution of
-two supports (unit weights on multisets, or weights on distinct residues).
+two weighted supports, whose weights add where a residue repeats.
 
 Every optimized count holds its tables in one periodic form
 (t(0), |t|, m, e, w): the value at 0, the total mass, a period m dividing
-n = p-1, and distinct exponents e mod m with weights w, so t(g^k) = w[i]
-when k == e[i] mod m. A multiset U that is not a Subgroup lives on m = n:
-its multiplicity table, or its difference table d = diff_counts(U) (the
-support of U convolved with its negation on Z/p), at the discrete logs of
-its nonzero residues (Rader's primitive-root reindexing). A subgroup X of
-order d_X lives on m_X = n / d_X: its indicator 1_X is the one point 0,
-and its difference table is d_X(0) = d_X and d_X(a) = A_X[dlog a mod m_X]
-for a != 0, where A_X[c] = #{u in X, u != 1 : dlog(u - 1) mod m_X == c}
-are the cyclotomic numbers of order m_X (Storer, Cyclotomy and Difference
-Sets, 1967), counted once per subgroup (Subgroup.classes).
+n = p-1, and exponents e mod m with weights w, so t(g^k) is the sum of the
+w[i] with k == e[i] mod m. A multiset U that is not a Subgroup lives on
+m = n, at discrete logs (Rader's primitive-root reindexing): its
+multiplicity table is the logs of its nonzero elements with unit weights,
+repeats included, and its difference table d = diff_counts(U) (the support
+of U convolved with its negation on Z/p) the logs of its nonzero residues.
+A subgroup X of order d_X lives on m_X = n / d_X: its indicator 1_X is the
+one point 0, and its difference table is d_X(0) = d_X and
+d_X(a) = A_X[dlog a mod m_X] for a != 0, where
+A_X[c] = #{u in X, u != 1 : dlog(u - 1) mod m_X == c} are the cyclotomic
+numbers of order m_X (Storer, Cyclotomy and Difference Sets, 1967),
+counted once per subgroup (Subgroup.classes).
 
 _mult_conv gives r(mu) = sum over x y == mu of a(x) b(y). With
 q = gcd(m_a, m_b) and a|q the fibre sum of a onto Z/q,
 r(0) = a(0) |b| + b(0) |a| - a(0) b(0) and r(g^t) = c v[t mod q] for
 v = a|q * b|q, a length-q cyclic convolution (a shifted fold when one table
 is a single point, as a subgroup's indicator is), and c = n / lcm(m_a, m_b).
-So D = r0^2 + c^2 (n/q) sum v^2 for (d_U, d_U); N = r0 r0' + c c' times
-the sum over t in Z/n of v[t mod q] v'[t mod q'] (_class_dot) for
-(1_F, d_G) and (1_F, d_H); I and J are r for (d_W, 1_Z) and (d_X, d_Y),
-read on residues with the mass at 0 set explicitly. On subgroups
-c = gcd(d_X, d_Y), and with q = gcd of the two class periods:
+E, D and N are sums over mu of r(mu) s(mu) (_pair_count): r0 r0' + c c'
+times the sum over t in Z/n of v[t mod q] v'[t mod q'], which is
+r0^2 + c^2 (n/q) sum v^2 when s is r. E(U, V) is the sum of r^2 for
+(1_U, 1_V), D for (d_U, d_U), and N is r = (1_F, d_G) against s = (1_F, d_H);
+I and J are r for (d_W, 1_Z) and (d_X, d_Y), read on residues with the mass
+at 0 set explicitly. On subgroups c = gcd(d_X, d_Y), and with q = gcd of the
+two class periods:
 
     r_XZ(mu != 0) = gcd(d_X, d_Z) A_X|q[dlog mu mod q]    (r for (d_X, 1_Z)),
+    E(G)       = d^3  (a one-point fold: r = d at the d elements of G),
     D(G)       = r0^2 + d^3 sum (A * A)^2,  r0 = 2 d^3 - d^2,
     N(F, G, H) = d_F^2 d_G d_H + sum over mu != 0 of r_GF r_HF,
     I(0)       = d_W d_Z,  I(lam != 0) = r_WZ(lam),
@@ -40,18 +45,16 @@ c = gcd(d_X, d_Y), and with q = gcd of the two class periods:
     zero_count = d_X d_Y^2 + d_Y d_X^2 - d_X d_Y:
 
 O(d + m) work and no length-p transform when every argument is a
-Subgroup. E(U, V) convolves the exponent multisets dlog(u), dlog(v) of the
-nonzero elements; with z_U, z_V the multiplicities of 0,
-r(0) = z_U |V| + z_V |U| - z_U z_V and E = r(0)^2 + sum r^2.
+Subgroup.
 
-_cyclic_conv enumerates the pairs of its supports in int64, a bincount of
-the pair sums for unit weights and np.add.at for weighted pairs, in blocks
-of about 2**22 pairs, unless its length n exceeds DIRECT_CONV_MAX and the
-pairs exceed ENUM_PAIRS_PER_POINT * n (both measured crossovers); then it
-takes a float64 FFT of zero-padded power-of-two length, rounded only when
-an a priori error bound from the inputs' norms and the length (Percival,
-Math. Comp. 72, 2003) is below 1/4, else it enumerates. Sums of squares use
-int64 only where no partial sum can overflow.
+_cyclic_conv enumerates the pairs of its supports in int64, one np.add.at
+of the weight products per block of about 2**22 pairs, unless its length n
+exceeds DIRECT_CONV_MAX and the pairs exceed ENUM_PAIRS_PER_POINT * n (both
+measured crossovers); then it takes a float64 FFT of zero-padded
+power-of-two length, rounded only when an a priori error bound from the
+inputs' norms and the length (Percival, Math. Comp. 72, 2003) is below 1/4,
+else it enumerates. Sums of squares use int64 only where no partial sum can
+overflow.
 """
 
 from __future__ import annotations
@@ -64,12 +67,11 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .field import FieldCtx
-from .subgroups import Subgroup
+from .subgroups import Subgroup, product_set
 
 ORACLE_PAIR_BUDGET = 5_000       # all-pairs comparison arrays
 ORACLE_LOOP_BUDGET = 4_000_000   # python-loop enumerations
 DTIMES_ORACLE_MAX = 60           # |U| cap for the d_times oracle route
-DTIMES_OPT_P_MAX = 10**6         # p cap for the optimized set route
 FREQ_BUDGET = 10**8              # frequency-table products
 ORACLE_BLOCK_PAIRS = 2**18       # products per np.add.at in the d_times oracle
 DIRECT_CONV_MAX = 48             # at or below this length _cyclic_conv enumerates
@@ -139,37 +141,29 @@ def _cyclic_fft(x: np.ndarray, y: np.ndarray, n: int) -> np.ndarray | None:
     return np.rint(out).astype(np.int64)
 
 
-def _dense(n: int, s: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Length-n table of a support: the counts of s, or w placed at s."""
-    if w is None:
-        return np.bincount(s, minlength=n)
+def _dense(n: int, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Length-n table with the weights w added at the residues s."""
     x = np.zeros(n, dtype=np.int64)
-    x[s] = w
+    np.add.at(x, s, w)
     return x
 
 
-def _cyclic_conv(n: int, xs: np.ndarray, ys: np.ndarray, wx=None, wy=None) -> np.ndarray:
+def _cyclic_conv(n: int, xs: np.ndarray, ys: np.ndarray, wx, wy) -> np.ndarray:
     """r[t] = sum over xs[i] + ys[j] == t mod n of wx[i] wy[j], for residues
-    in [0, n): unit weights on multisets when wx and wy are None, else weights
-    on distinct residues. An FFT where it pays and its bound allows, else the
-    pairs enumerated in blocks; exact while the total mass, which the
+    in [0, n) that may repeat. An FFT where it pays and its bound allows, else
+    the pairs enumerated in blocks; exact while the total mass, which the
     callers' budgets bound, is < 2**63."""
     if _transform_pays(len(xs) * len(ys), n):
         x = _dense(n, xs, wx)
         conv = _cyclic_fft(x, x if ys is xs and wy is wx else _dense(n, ys, wy), n)
         if conv is not None:
             return conv
-    r = None if wx is None else np.zeros(n, dtype=np.int64)
+    r = np.zeros(n, dtype=np.int64)
     step = max(1, 2**22 // max(1, len(ys)))
-    for i in range(0, max(1, len(xs)), step):
+    for i in range(0, len(xs), step):
         keys = xs[i : i + step, None] + ys
         keys = np.remainder(keys, n, out=keys).reshape(-1)
-        if wx is not None:
-            np.add.at(r, keys, (wx[i : i + step, None] * wy).reshape(-1))
-        elif r is None:
-            r = np.bincount(keys, minlength=n)  # the first block accumulates the rest
-        else:
-            r += np.bincount(keys, minlength=n)
+        np.add.at(r, keys, (wx[i : i + step, None] * wy).reshape(-1))
     return r
 
 
@@ -180,12 +174,13 @@ def diff_counts(p: int, u) -> np.ndarray:
 
 
 def _indicator(ctx: FieldCtx, s) -> tuple:
-    """The multiplicity table of s; a subgroup's is the one point 0 on its classes."""
+    """The multiplicity table of s: the discrete logs of its nonzero elements
+    with unit weights; a subgroup's is the one point 0 on its classes."""
     if isinstance(s, Subgroup):
         return 0, s.order, (ctx.p - 1) // s.order, np.zeros(1, np.int64), np.ones(1, np.int64)
-    xs, w = np.unique(np.asarray(s, dtype=np.int64) % ctx.p, return_counts=True)
-    k = int(len(xs) > 0 and xs[0] == 0)  # 0 sorts first
-    return int(w[:k].sum()), len(s), ctx.p - 1, ctx.dlog[xs[k:]], w[k:]
+    s = np.asarray(s, dtype=np.int64) % ctx.p
+    e = ctx.dlog[s[s != 0]]
+    return len(s) - len(e), len(s), ctx.p - 1, e, np.ones(len(e), np.int64)
 
 
 def _differences(ctx: FieldCtx, s) -> tuple:
@@ -219,18 +214,23 @@ def _mult_conv(ctx: FieldCtx, a: tuple, b: tuple) -> tuple[int, int, np.ndarray]
     xs, wx = _fold(q, ma, ea, wa)
     if len(eb) == 1:
         v = np.zeros(q, dtype=np.int64)
-        v[(xs + eb[0]) % q] = wx * wb[0]  # xs are distinct mod q
+        np.add.at(v, (xs + eb[0]) % q, wx * wb[0])
     else:
         ys, wy = (xs, wx) if b is a else _fold(q, mb, eb, wb)
         v = _cyclic_conv(q, xs, ys, wx, wy)
     return a0 * nb + b0 * na - a0 * b0, (ctx.p - 1) // math.lcm(ma, mb), v
 
 
-def _class_dot(n: int, r1: np.ndarray, r2: np.ndarray) -> int:
-    """Sum over t in Z/n of r1[t mod len(r1)] r2[t mod len(r2)]."""
-    g, period = math.gcd(len(r1), len(r2)), math.lcm(len(r1), len(r2))
-    r1, r2 = (r.reshape(-1, g).sum(axis=0) for r in (r1, r2))
-    return n // period * _dot(r1, r2)
+def _pair_count(p: int, r: tuple, s: tuple) -> int:
+    """Sum over mu in F_p of r(mu) s(mu), for r and s as _mult_conv gives them:
+    r(0) s(0) plus c c' (p-1) / lcm(q, q') times the dot product of v and v'
+    folded onto Z/gcd(q, q'), which is v . v when s is r."""
+    (r0, c, v), (s0, cs, vs) = r, s
+    period = math.lcm(len(v), len(vs))
+    if vs is not v:
+        g = math.gcd(len(v), len(vs))
+        v, vs = (x.reshape(-1, g).sum(axis=0) for x in (v, vs))
+    return r0 * s0 + c * cs * ((p - 1) // period) * _dot(v, vs)
 
 
 def _on_residues(ctx: FieldCtx, c: int, v: np.ndarray) -> np.ndarray:
@@ -249,30 +249,21 @@ def _distribution(r: np.ndarray, zero_count: int = 0) -> Distribution:
 def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
     """Solutions of u1 v1 == u2 v2 mod p with u_i in U, v_i in V."""
     p = ctx.p
-    u = _as_array(us)
-    v = u if vs is us else _as_array(vs)
-    n = len(u) * len(v)
+    n = len(us) * len(vs)
     if method == "optimized":
         if n > FREQ_BUDGET:
             raise BudgetExceeded(f"product table of size {n} exceeds {FREQ_BUDGET}")
-        eu = _exponents(ctx, u)
-        ev = eu if vs is us else _exponents(ctx, v)
-        zu, zv = len(u) - len(eu), len(v) - len(ev)
-        r0 = zu * len(v) + zv * len(u) - zu * zv  # u v == 0: u == 0 or v == 0
-        r = _cyclic_conv(p - 1, eu, ev)
-        return CountValue(count=r0 * r0 + _dot(r, r), method=method)
+        ind_u = _indicator(ctx, us)
+        r = _mult_conv(ctx, ind_u, ind_u if vs is us else _indicator(ctx, vs))
+        return CountValue(count=_pair_count(p, r, r), method=method)
     if method == "oracle":
         if n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(f"oracle pair comparison at n={n} exceeds {ORACLE_PAIR_BUDGET}")
+        u = _as_array(us)
+        v = u if vs is us else _as_array(vs)
         prods = ((u[:, None] * v[None, :]) % p).reshape(-1)
         return CountValue(count=_equal_pairs(prods, prods), method=method)
     raise ValueError(f"unknown method {method!r}")
-
-
-def _exponents(ctx: FieldCtx, s: np.ndarray) -> np.ndarray:
-    """The discrete logs of the elements of s that are nonzero mod p."""
-    s = s % ctx.p
-    return ctx.dlog[s[s != 0]]
 
 
 def _equal_pairs(left: np.ndarray, right: np.ndarray) -> int:
@@ -321,11 +312,11 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
         return CountValue(count=r0 * r0 + _dot(r, r), method=method)
 
     if method == "optimized":
-        if not isinstance(us, Subgroup) and (len(us) ** 2 > FREQ_BUDGET or p > DTIMES_OPT_P_MAX):
-            raise BudgetExceeded(f"|U|^2={len(us) ** 2}, p={p} out of optimized range")
+        if not isinstance(us, Subgroup) and len(us) ** 2 > FREQ_BUDGET:
+            raise BudgetExceeded(f"|U|^2={len(us) ** 2} exceeds {FREQ_BUDGET}")
         d = _differences(ctx, us)
-        r0, c, v = _mult_conv(ctx, d, d)  # r0 == 2 d(0) |U|^2 - d(0)^2
-        return CountValue(count=r0 * r0 + c * c * ((p - 1) // len(v)) * _dot(v, v), method=method)
+        r = _mult_conv(ctx, d, d)  # r(0) == 2 d(0) |U|^2 - d(0)^2
+        return CountValue(count=_pair_count(p, r, r), method=method)
 
     raise ValueError(f"unknown method {method!r}")
 
@@ -345,9 +336,7 @@ def n_triples(
         ind_f = _indicator(ctx, fs)
         fg = _mult_conv(ctx, ind_f, _differences(ctx, gs))
         fh = fg if hs is gs else _mult_conv(ctx, ind_f, _differences(ctx, hs))
-        (r0_g, c_g, v_g), (r0_h, c_h, v_h) = fg, fh
-        count = r0_g * r0_h + c_g * c_h * _class_dot(p - 1, v_g, v_h)
-        return CountValue(count=count, method=method)
+        return CountValue(count=_pair_count(p, fg, fh), method=method)
     if method == "oracle":
         if left_n > ORACLE_PAIR_BUDGET or right_n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(
@@ -435,24 +424,20 @@ class CauchyStepReport:
 
 
 def lambda_square_sum(ctx: FieldCtx, s: Subgroup, g: Subgroup, h: Subgroup) -> int:
-    """sum over lam in S of #{(g, h) in G x H : lam (g - 1) == h - 1}, squared."""
-    p = ctx.p
-    h_ind = np.zeros(p, dtype=np.int64)
-    h_ind[(h.as_array() - 1) % p] = 1
-    g_shift = (g.as_array() - 1) % p
-    total = 0
-    lams = s.as_array()
-    for start in range(0, len(lams), 512):
-        block = lams[start : start + 512]
-        cnt = h_ind[(block[:, None] * g_shift[None, :]) % p].sum(axis=1)
-        total += _dot(cnt, cnt)
-    return total
+    """sum over lam in S of #{(g, h) in G x H : lam (g - 1) == h - 1}, squared.
+
+    The pair g == h == 1 counts for every lam; any other has g, h != 1 and
+    lam = (h - 1) / (g - 1). So cnt(lam) = 1 + c[dlog lam] for c the cyclic
+    correlation of dlog(g - 1) and dlog(h - 1) over g, h != 1, and dlog lam
+    runs over the multiples of (p-1) / |S|."""
+    _, _, n, a, wa = _indicator(ctx, g.as_array() - 1)
+    _, _, _, b, wb = _indicator(ctx, h.as_array() - 1)
+    cnt = 1 + _cyclic_conv(n, (n - a) % n, b, wa, wb)[:: n // s.order]
+    return _dot(cnt, cnt)
 
 
 def cauchy_step_report(ctx: FieldCtx, f: Subgroup, g: Subgroup, h: Subgroup) -> CauchyStepReport:
     """Audit both forms of the Cauchy step on (F, G, H), exactly in integers."""
-    from .subgroups import product_set
-
     p = ctx.p
     n = n_triples(ctx, f, g, h, method="optimized").count
     s = product_set(ctx, [f, g, h])

@@ -60,9 +60,6 @@ class CharacterIndex:
 
     j: int
 
-    def order(self, p: int) -> int:
-        return (p - 1) // gcd(self.j % (p - 1), p - 1)
-
 
 @dataclass(frozen=True)
 class SumValue:

@@ -404,16 +404,13 @@ def test_class_vector_is_counted_once_per_subgroup(monkeypatch):
     assert g.classes(ctx) is g.classes(ctx) and not g.classes(ctx).flags.writeable
 
 
-def test_d_times_class_route_above_the_set_route_p_cap(monkeypatch):
-    p = 1_000_033  # just above DTIMES_OPT_P_MAX; 96 divides p - 1
-    assert p > energy.DTIMES_OPT_P_MAX
-    ctx = make_field_ctx(p)
+def test_d_times_class_route_above_the_set_route_p_cap():
+    # p above 10**6: neither route has a p cap, and element lists are
+    # guarded by FREQ_BUDGET on |U|^2 alone, as N, I and J are
+    p = 1_000_033  # 96 divides p - 1
+    ctx = ctx_for(p)
     sub = subgroup_of_order(ctx, 96)
-    value = d_times(ctx, sub).count  # the class route has no p cap
-    with pytest.raises(BudgetExceeded):
-        d_times(ctx, list(sub.elements))
-    monkeypatch.setattr(energy, "DTIMES_OPT_P_MAX", p)
-    assert value == d_times(ctx, list(sub.elements)).count
+    assert d_times(ctx, sub).count == d_times(ctx, list(sub.elements)).count
 
 
 def _peak_bytes(call) -> int:
@@ -424,6 +421,15 @@ def _peak_bytes(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_subgroup_energy_is_a_fold_on_the_classes():
+    # E(G) folds the one-point indicator on Z/9,450: nothing of length p
+    p = 982_801
+    ctx = ctx_for(p)
+    sub = subgroup_of_order(ctx, 104)
+    assert mult_energy(ctx, sub, sub).count == 104**3
+    assert _peak_bytes(lambda: mult_energy(ctx, sub, sub)) < 2**20
 
 
 def test_subgroup_counts_allocate_nothing_of_length_p():
@@ -463,6 +469,14 @@ def test_cauchy_step_counterexample_is_stable():
     assert cauchy_separated_forms(rep, 5, 2, 2) == (True, True)
 
 
+def _lambda_square_sum_by_hand(p: int, s, g, h) -> int:
+    """sum over lam in S of #{(x, y) in G x H : lam (x - 1) == y - 1}, squared."""
+    return sum(
+        sum(lam * (x - 1) % p == (y - 1) % p for x in g.elements for y in h.elements) ** 2
+        for lam in s.elements
+    )
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     p=st.sampled_from([11, 13, 31, 43]),
@@ -482,13 +496,11 @@ def test_cauchy_intermediate_inequality_property(p, data):
     )
     assert rep.intermediate_holds
     # identity behind the report: lambda square sum over the product subgroup
-    direct = lambda_square_sum(
-        ctx,
-        product_set(ctx, [subgroup_of_order(ctx, d) for d in (df, dg, dh)]),
-        subgroup_of_order(ctx, dg),
-        subgroup_of_order(ctx, dh),
-    )
+    s = product_set(ctx, [subgroup_of_order(ctx, d) for d in (df, dg, dh)])
+    g, h = subgroup_of_order(ctx, dg), subgroup_of_order(ctx, dh)
+    direct = lambda_square_sum(ctx, s, g, h)
     assert direct == rep.lambda_square_sum
+    assert direct == _lambda_square_sum_by_hand(p, s, g, h)
 
 
 def test_budget_exceeded_is_raised_for_oracle_blowups():
@@ -552,32 +564,30 @@ def test_cyclic_conv_matches_python_ints():
     for route in each_route():
         for n in (1, 48, 49, 100):
             for size in (1, 7, 3 * n):
-                xs = rng.integers(0, n, size=size)  # multisets, with repeats
+                # residues with repeats, weights up to 2**20 (unit weights too)
+                xs = rng.integers(0, n, size=size)
                 ys = rng.integers(0, n, size=int(rng.integers(1, 2 * n + 2)))
-                cx, cy = np.bincount(xs, minlength=n), np.bincount(ys, minlength=n)
-                assert energy._cyclic_conv(n, xs, ys).tolist() == _direct_cyclic(cx, cy), route
-                assert energy._cyclic_conv(n, xs, xs).tolist() == _direct_cyclic(cx, cx)
-                # weights on distinct residues, up to 2**20
-                sx = np.unique(xs)
-                sy = np.unique(ys)
-                wx = rng.integers(1, 2**20, size=len(sx))
-                wy = rng.integers(1, 2**20, size=len(sy))
-                dx, dy = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-                dx[sx], dy[sy] = wx, wy
-                got = energy._cyclic_conv(n, sx, sy, wx, wy).tolist()
-                assert got == _direct_cyclic(dx, dy), route
-                assert energy._cyclic_conv(n, sx, sx, wx, wx).tolist() == _direct_cyclic(dx, dx)
+                for top in (1, 2**20):
+                    wx = rng.integers(1, top + 1, size=len(xs))
+                    wy = rng.integers(1, top + 1, size=len(ys))
+                    dx, dy = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+                    np.add.at(dx, xs, wx)
+                    np.add.at(dy, ys, wy)
+                    got = energy._cyclic_conv(n, xs, ys, wx, wy).tolist()
+                    assert got == _direct_cyclic(dx, dy), route
+                    got = energy._cyclic_conv(n, xs, xs, wx, wx).tolist()
+                    assert got == _direct_cyclic(dx, dx), route
         # 2,500 x 2,000 pairs: two blocks of the enumeration, the second partial
         n = 4099
-        sx, sy = rng.permutation(n)[:2500], rng.permutation(n)[:2000]
+        sx, sy = rng.integers(0, n, size=2500), rng.integers(0, n, size=2000)
         wx, wy = rng.integers(1, 2**10, size=len(sx)), rng.integers(1, 2**10, size=len(sy))
-        for weights in ((None, None), (wx, wy)):
-            dx, dy = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
-            dx[sx], dy[sy] = (1, 1) if weights[0] is None else weights
-            linear = np.convolve(dx, dy)  # int64 is exact: n * 2**20 < 2**63
-            expected = linear[:n]
-            expected[: n - 1] += linear[n:]
-            assert np.array_equal(energy._cyclic_conv(n, sx, sy, *weights), expected), route
+        dx, dy = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        np.add.at(dx, sx, wx)
+        np.add.at(dy, sy, wy)
+        linear = np.convolve(dx, dy)  # int64 is exact: n * (2**10 * 2,500)^2 < 2**63
+        expected = linear[:n]
+        expected[: n - 1] += linear[n:]
+        assert np.array_equal(energy._cyclic_conv(n, sx, sy, wx, wy), expected), route
 
 
 def test_dot_is_exact_past_int64():
