@@ -13,12 +13,22 @@ character sums evaluate them per chunk with `roots_of_unity`, the expression
 that also fills e_table, so a value does not depend on where it is computed.
 `FieldCtx.chi_unit` builds the length p-1 table on first access only.
 
+The tables are filled in blocks of TABLE_BLOCK residues. Above one block the
+work is shared out over the process's CPUs (`CPUS`, read at import) on
+threads that are joined before `make_field_ctx` returns; the threads split
+one block of scratch, so memory does not grow with their number. Each entry
+is computed by the same expression whichever thread fills it, so the tables
+do not depend on the thread count; a prime with p <= TABLE_BLOCK starts no
+thread.
+
 p is capped below 2**31 so every modular product of two residues fits in a
 signed 64-bit intermediate.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
@@ -29,6 +39,8 @@ from .errors import CompositeModulus, DegenerateExponents, ModulusTooLarge
 
 MAX_MODULUS = 2**31
 TABLE_BLOCK = 2**16  # residues per block while the tables are filled
+# The CPUs this process may run on: the length-p loops use at most this many threads.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def is_prime(n: int) -> bool:
@@ -107,10 +119,50 @@ def _powers(base: int, count: int, p: int) -> np.ndarray:
     return out
 
 
-def roots_of_unity(u: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """exp(2*pi*i*u/n) for an int64 array u: the one expression of every
-    character value, whose bits do not depend on the array's size."""
-    return np.exp(2j * np.pi * u / n, out=out)
+def roots_of_unity(u: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """exp(2*pi*i*u/n) into the complex128 array `out` for an int64 array u:
+    the one expression of every character value, whose bits do not depend on
+    the array's size. Every step runs in place in `out`, so nothing is
+    allocated; the bits are those of np.exp(2j * np.pi * u / n)."""
+    np.multiply(2j * np.pi, u, out=out)
+    np.divide(out, n, out=out)
+    return np.exp(out, out=out)
+
+
+def _run_parts(fn, pieces: int) -> list:
+    """Call fn(part, parts) for part = 0..parts-1, parts = min(CPUS, pieces),
+    and return the results in part order: part 0 runs in the calling thread,
+    each other part in a thread of its own. Returns once every part has
+    finished, raising the first exception any part raised. No thread outlives
+    the call and no pool is kept, so the process may fork afterwards.
+
+    Callers share buffers of a fixed total size among the parts, so memory
+    does not grow with the number of CPUs."""
+    parts = min(CPUS, pieces)
+    if parts == 1:
+        return [fn(0, 1)]
+    results = [None] * parts
+    errors = []
+
+    def run(part: int) -> None:
+        try:
+            results[part] = fn(part, parts)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+
+    threads = []
+    try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=run, args=(part,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,15 +206,28 @@ def make_field_ctx(p: int) -> FieldCtx:
         raise CompositeModulus(f"p={p} is not prime")
     g = smallest_primitive_root(p)
     g_pow = _powers(g, p - 1, p)
-    dlog = np.full(p, -1, dtype=np.int64)
+    dlog = np.empty(p, dtype=np.int64)
+    dlog[0] = -1  # g_pow is a permutation of 1..p-1: the scatter writes every other entry
     e_table = np.empty(p, dtype=np.complex128)
     # Filled block by block straight into the final arrays, so no length-p
     # temporaries are made; each entry is the same expression as for one array.
-    for start in range(0, p, TABLE_BLOCK):
-        u = np.arange(start, min(start + TABLE_BLOCK, p), dtype=np.int64)
-        roots_of_unity(u, p, out=e_table[start : start + len(u)])
-        u = u[u < p - 1]
-        dlog[g_pow[start : start + len(u)]] = u
+    # The parts split one block of scratch, and each fills every parts-th
+    # stretch of block // parts residues.
+    block = min(p, TABLE_BLOCK)
+    scratch = np.empty(block, dtype=np.int64)
+    offsets = np.arange(block, dtype=np.int64)
+
+    def fill(part: int, parts: int) -> None:
+        step = block // parts
+        u = scratch[part * step : (part + 1) * step]
+        for start in range(part * step, p, parts * step):
+            m = min(step, p - start)
+            np.add(offsets[:m], start, out=u[:m])
+            roots_of_unity(u[:m], p, out=e_table[start : start + m])
+            m = min(m, p - 1 - start)  # exponents stop at p-2
+            dlog[g_pow[start : start + m]] = u[:m]
+
+    _run_parts(fill, min(-(-p // block), block))  # a part per block, a residue per share
     return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow, e_table=e_table)
 
 

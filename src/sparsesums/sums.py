@@ -20,6 +20,17 @@ consecutive t (`_t_terms`):
     buffers: a floor division by a scalar is faster than numpy's remainder,
     and gives the same integers.
 
+Above one chunk the length-p loops run on the process's CPUs (`field.CPUS`),
+one part per thread. The parts share one chunk's buffers: each takes its
+share of them and computes every parts-th stretch of that length. Each part
+of `sum_exact` sums into an exact accumulator of its own, and the
+accumulators are merged; `sum_decomposed` fills tt the same way and sums its
+rows on at most ROW_BUFFERS threads, one row buffer each. Every term and
+every row sum is computed by the same expression whichever thread computes
+it, and the accumulator is exact, so the results do not depend on the thread
+count, and memory does not grow with it. The threads are joined before the
+call returns; with p - 1 <= CHUNK no thread is started.
+
 The real and imaginary parts are summed by `_ExactSum`, an error-free
 extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
 summation", SIAM J. Sci. Comput. 31, 2008) whose result is the correctly
@@ -46,11 +57,12 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetExceeded, NonzeroRequired
-from .field import FieldCtx, SparsePoly, roots_of_unity
+from .field import FieldCtx, SparsePoly, _run_parts, roots_of_unity
 
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
 CHUNK = 2**16  # values per chunk; CHUNK * 2**_LEVEL_BITS <= 2**62 keeps level sums in int64
+ROW_BUFFERS = 2  # rows sum_decomposed gathers at once: together no larger than tt
 _LEVEL_BITS = 46
 
 
@@ -83,14 +95,18 @@ class _ExactSum:
     Python 3.11, so records do not depend on them. A part with non-finite terms
     is their IEEE sum; finite terms of magnitude 2**1017 or more raise
     OverflowError.
+
+    `work`, a float64 array of shape (2, 2, m), is used for blocks of up to m
+    values; longer blocks, or none given, allocate their own on first use.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, work: np.ndarray | None = None) -> None:
         self._re = 0
         self._im = 0
         self._e = 0
         self._special = 0j  # IEEE sums of the non-finite parts
-        self._work = np.empty((3, 2, 0))  # reused level buffers: no page faults per block
+        # reused level buffers: no page faults per block
+        self._work = np.empty((2, 2, 0)) if work is None else work
 
     def add(self, values) -> None:
         z = np.asarray(values, dtype=np.complex128).reshape(-1)
@@ -99,8 +115,8 @@ class _ExactSum:
 
     def _add_block(self, z: np.ndarray) -> None:
         if self._work.shape[2] < len(z):
-            self._work = np.empty((3, 2, len(z)))
-        x, s, r = self._work[:, :, : len(z)]
+            self._work = np.empty((2, 2, len(z)))
+        x, s = self._work[:, :, : len(z)]
         x[0] = z.real
         x[1] = z.imag
         top = float(np.abs(x, out=s).max())
@@ -121,8 +137,13 @@ class _ExactSum:
             offset = len(z) * (((e + 52 + 1023) << 52) | (1 << 51))  # the bits of sigma
             self._push(_wrap(re - offset), _wrap(im - offset), e)
             np.subtract(s, sigma, out=s)
-            x = np.subtract(x, s, out=r)
+            np.subtract(x, s, out=x)
             top = float(np.abs(x, out=s).max())
+
+    def merge(self, other: "_ExactSum") -> None:
+        """Add the terms `other` has been fed, as if they had been fed here."""
+        self._push(other._re, other._im, other._e)
+        self._special += other._special
 
     def _push(self, re: int, im: int, e: int) -> None:
         if e < self._e:
@@ -161,10 +182,16 @@ def _make_sum(value: complex, term_count: int) -> SumValue:
 
 
 def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
-    """Yield (start, terms) with terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s.
+    """Return chunks(part=0, parts=1), a generator of (start, terms) with
+    terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s.
 
-    The chunks cover t = 0..p-2 in order, CHUNK exponents at a time. `terms` is
-    valid until the next chunk is drawn.
+    One chunk buffer of CHUNK exponents is shared by the parts: part i takes
+    its i-th share, of size // parts exponents, and covers every parts-th
+    stretch of that length, in order, so the parts together cover t = 0..p-2
+    and one part alone covers them in chunks of CHUNK. `terms` is valid until
+    that generator draws its next chunk. The monomial tables and the buffers
+    are built here once, so drawing chunks allocates nothing in whichever
+    thread draws them.
     """
     p, g, n = ctx.p, ctx.g, ctx.p - 1
     j = chi.j % n
@@ -174,26 +201,37 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     batch = _unreduced_terms(p)
     groups = [tables[i : i + batch] for i in range(0, len(tables), batch)]
     js = s * j % n
-    acc, t, q = np.empty((3, size), dtype=np.int64)
-    out = np.empty(size, dtype=np.complex128)
-    for start in range(0, n, size):
-        m = min(size, n - start)
-        acc[:m] = 0
-        for group in groups:
-            for c, k, table in group:
-                np.multiply(table[:m], c * pow(g, k * start, p) % p, out=q[:m])
-                np.add(acc[:m], q[:m], out=acc[:m])
-            _reduce(acc[:m], p, q[:m])
-        e = ctx.e_table[acc[:m]]
-        if not j:  # chi_0 is 1 + 0j, and multiplying by it changes no bit
-            yield start, e
-            continue
-        np.add(js[:m], j * start % n, out=t[:m])
-        _reduce(t[:m], n, q[:m])
-        # out of place: numpy rounds an aliased one-element complex product
-        # by another loop than longer arrays, so chunk sizes would show
-        np.multiply(roots_of_unity(t[:m], n), e, out=out[:m])
-        yield start, out[:m]
+    ints = np.empty((2, size), dtype=np.int64)
+    values = np.empty((3 if j else 1, size), dtype=np.complex128)
+
+    def chunks(part: int = 0, parts: int = 1):
+        step = size // parts
+        share = slice(part * step, (part + 1) * step)
+        acc, q = ints[:, share]
+        e = values[0, share]
+        for start in range(part * step, n, parts * step):
+            m = min(step, n - start)
+            acc[:m] = 0
+            for group in groups:
+                for c, k, table in group:
+                    np.multiply(table[:m], c * pow(g, k * start, p) % p, out=q[:m])
+                    np.add(acc[:m], q[:m], out=acc[:m])
+                _reduce(acc[:m], p, q[:m])
+            # the phases are in range, so "clip" changes no value; it only keeps
+            # take from writing through a temporary copy of `e`
+            ctx.e_table.take(acc[:m], out=e[:m], mode="clip")
+            if not j:  # chi_0 is 1 + 0j, and multiplying by it changes no bit
+                yield start, e[:m]
+                continue
+            np.add(js[:m], j * start % n, out=acc[:m])
+            _reduce(acc[:m], n, q[:m])
+            r, out = values[1:, share][:, :m]
+            # out of place: numpy rounds an aliased one-element complex product
+            # by another loop than longer arrays, so chunk sizes would show
+            np.multiply(roots_of_unity(acc[:m], n, out=r), e[:m], out=out)
+            yield start, out
+
+    return chunks
 
 
 def _unreduced_terms(p: int) -> int:
@@ -211,8 +249,32 @@ def _reduce(a: np.ndarray, p: int, scratch: np.ndarray) -> None:
 
 
 def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
-    """S = sum over x in F_p^* of chi(x) e_p(Psi(x))."""
-    return _make_sum(_csum(terms for _, terms in _t_terms(ctx, psi, chi)), ctx.p - 1)
+    """S = sum over x in F_p^* of chi(x) e_p(Psi(x)).
+
+    Each part sums its share of the terms into an exact accumulator of its
+    own, and the accumulators are merged, so S is the correctly rounded sum
+    whatever the thread count.
+    """
+    n = ctx.p - 1
+    chunks = _t_terms(ctx, psi, chi)
+    # the accumulators' level buffers, shared like the chunk buffers and made
+    # here: allocated in the threads, they would stay in glibc's per-thread
+    # arenas after the call
+    size = min(n, CHUNK)
+    work = np.empty((2, 2, size))
+
+    def add(part: int, parts: int) -> _ExactSum:
+        step = size // parts
+        acc = _ExactSum(work[:, :, part * step : (part + 1) * step])
+        for _, terms in chunks(part, parts):
+            acc.add(terms)
+        return acc
+
+    # a part per chunk, and at least one exponent per share of a chunk
+    total, *others = _run_parts(add, min(-(-n // CHUNK), CHUNK))
+    for other in others:
+        total.merge(other)
+    return _make_sum(total.value(), n)
 
 
 def sum_decomposed(
@@ -230,7 +292,8 @@ def sum_decomposed(
     exponent-order terms at the offset dlog(xyz), w in residue order, so the
     row and its bits are those of a residue-order table; the rows, weighted by
     the number of (x, y, z) with that product, are summed exactly. Memory is
-    O(p) terms, independent of the number of rows.
+    O(p) terms, independent of the number of rows and of CPUs: tt holds
+    2(p-1) terms and at most ROW_BUFFERS rows of p-1 are gathered at once.
     """
     from .subgroups import subgroup_of_order
 
@@ -252,11 +315,28 @@ def sum_decomposed(
 
     n = p - 1
     tt = np.empty(2 * n, dtype=np.complex128)  # tt[t] = T(g**t), twice over
-    for start, terms in _t_terms(ctx, psi, chi):
-        tt[start : start + len(terms)] = terms
+    chunks = _t_terms(ctx, psi, chi)
+
+    def fill(part: int, parts: int) -> None:
+        for start, terms in chunks(part, parts):
+            tt[start : start + len(terms)] = terms
+
+    _run_parts(fill, min(-(-n // CHUNK), CHUNK))
     tt[n:] = tt[:n]
     dw = ctx.dlog[1:]  # w = 1..p-1 in residue order
-    inner = np.array([tt[s : s + n][dw].sum() for s in ctx.dlog[vs].tolist()])
+    offsets = ctx.dlog[vs].tolist()
+    inner = np.empty(len(offsets), dtype=np.complex128)
+    # one row buffer per part; rows no longer than one chunk are too short to
+    # repay a thread
+    rows = np.empty((min(len(offsets), ROW_BUFFERS) if n > CHUNK else 1, n), dtype=np.complex128)
+
+    def sum_rows(part: int, parts: int) -> None:
+        row = rows[part]
+        inner[part::parts] = [
+            tt[s : s + n].take(dw, out=row, mode="clip").sum() for s in offsets[part::parts]
+        ]
+
+    _run_parts(sum_rows, len(rows))
     total = _csum([inner * counts])
     return _make_sum(total / (a * b * c), a * b * c * (p - 1))
 

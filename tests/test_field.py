@@ -90,13 +90,15 @@ def test_block_built_tables_equal_the_whole_array_formulas(monkeypatch, p, block
     from sparsesums import field
 
     monkeypatch.setattr(field, "TABLE_BLOCK", block)
-    ctx = make_field_ctx(p)
     whole_e = np.exp(2j * np.pi * np.arange(p) / p)
     whole_chi = np.exp(2j * np.pi * np.arange(p - 1) / (p - 1))
-    whole_dlog = np.full(p, -1, dtype=np.int64)
-    whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int64)
-    assert ctx.e_table.tobytes() == whole_e.tobytes()
-    assert ctx.dlog.tobytes() == whole_dlog.tobytes()
+    for cpus in (1, 2, 3, 16):  # the blocks shared out over one to five threads
+        monkeypatch.setattr(field, "CPUS", cpus)
+        ctx = make_field_ctx(p)
+        whole_dlog = np.full(p, -1, dtype=np.int64)
+        whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int64)
+        assert ctx.e_table.tobytes() == whole_e.tobytes()
+        assert ctx.dlog.tobytes() == whole_dlog.tobytes()
     tables = (ctx.dlog, ctx.g_pow, ctx.e_table)
     assert [t.dtype for t in tables] == [np.int64, np.int64, np.complex128]
     assert sum(t.nbytes for t in tables) == 32 * p - 8
@@ -128,6 +130,26 @@ def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
         tracemalloc.stop()
     assert "chi_unit" not in ctx.__dict__
     assert peak < 32 * p + 4 * 2**20
+
+
+def test_make_field_ctx_scratch_does_not_grow_with_the_cpus(monkeypatch):
+    # fifteen blocks at this p: fifteen threads share the one block of scratch
+    import tracemalloc
+
+    from sparsesums import field
+
+    p = 982_801
+    peaks = {}
+    for cpus in (1, 16):
+        monkeypatch.setattr(field, "CPUS", cpus)
+        tracemalloc.start()
+        try:
+            make_field_ctx(p)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 32 * p + 4 * 2**20
+    assert peaks[16] < peaks[1] + 2**20  # numpy's casting buffers are per thread
 
 
 def test_make_field_ctx_rejects_bad_moduli():

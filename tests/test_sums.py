@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 import tracemalloc
-from math import copysign, fsum, gcd, ldexp, sqrt
+from math import copysign, fsum, gcd, isnan, ldexp, sqrt
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from sparsesums import (
     sum_exact,
     unit_weights,
 )
-from sparsesums import sums
+from sparsesums import field, sums
 from sparsesums.sums import _ExactSum, _t_terms
 from conftest import ctx_for
 
@@ -126,6 +128,34 @@ def test_exact_sum_spans_calls_and_rejects_huge_terms():
         _exact_sum([ldexp(1.0, 1017)])
 
 
+def test_exact_sums_merge_as_one_accumulator():
+    # one stream split across accumulators, with the specials and the extreme
+    # magnitudes in different parts, merged in two orders
+    def same(a: complex, b: complex) -> bool:
+        return all(
+            (isnan(x) and isnan(y)) or (x == y and copysign(1.0, x) == copysign(1.0, y))
+            for x, y in ((a.real, b.real), (a.imag, b.imag))
+        )
+
+    streams = (
+        [[1e300, -0.0, 3e-300j], [-1e300, 1e-300, 0.1j], [-0.0, ldexp(1.0, -1074), -0.1j]],
+        [[float("inf"), 1e300j, 1.0], [-0.0, float("-inf")], [float("nan") * 1j, -1e-300]],
+    )
+    for stream in streams:
+        one = _ExactSum()
+        accs = [_ExactSum() for _ in stream]
+        for acc, values in zip(accs, stream):
+            one.add(np.asarray(values, dtype=np.complex128))
+            acc.add(np.asarray(values, dtype=np.complex128))
+        for order in ((0, 1, 2), (2, 0, 1)):
+            merged = _ExactSum()
+            for i in order:
+                merged.merge(accs[i])
+            assert same(merged.value(), one.value())
+    assert one.value().real != one.value().real  # inf + -inf is nan
+    assert same(_ExactSum().value(), 0j)
+
+
 def _bits(z) -> bytes:
     return np.asarray(z, dtype=np.complex128).tobytes()
 
@@ -133,7 +163,7 @@ def _bits(z) -> bytes:
 def term_array(ctx, psi, chi) -> np.ndarray:
     """chi(x) * e_p(Psi(x)) indexed by residue x (entry 0 is 0): `_t_terms` scattered by g_pow."""
     out = np.zeros(ctx.p, dtype=np.complex128)
-    for start, terms in _t_terms(ctx, psi, chi):
+    for start, terms in _t_terms(ctx, psi, chi)():
         out[ctx.g_pow[start : start + len(terms)]] = terms
     return out
 
@@ -162,6 +192,90 @@ def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, p, chunks)
     assert len(seen) == 1
 
 
+def test_sums_do_not_depend_on_the_thread_count(monkeypatch):
+    # CHUNK 1000 gives p = 10009 eleven chunks, and the 36 rows of
+    # sum_decomposed (gcds 4, 6, 9) threads of their own; one, two, three and
+    # eleven threads give the same bits
+    p = 10009
+    ctx = ctx_for(p)
+    rng = np.random.default_rng(p)
+    psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
+    heavy = _gcd_structured_quadrinomial(rng, p, (4, 6, 9))
+    assert [gcd(k, p - 1) for k in heavy.exponents[:3]] == [4, 6, 9]
+    monkeypatch.setattr(sums, "CHUNK", 1000)
+    seen = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+    try:
+        for cpus in (1, 2, 3, 16):
+            monkeypatch.setattr(field, "CPUS", cpus)
+            bits = [_bits(sum_exact(ctx, psi, CharacterIndex(j)).value) for j in (0, 1, p - 1, 34)]
+            bits += [_bits(sum_decomposed(ctx, heavy, CharacterIndex(j)).value) for j in (0, 5)]
+            seen.add(tuple(bits))
+    finally:
+        sys.setswitchinterval(interval)
+    assert gcd(34, p - 1) > 1 and len(seen) == 1
+
+
+def test_a_failing_part_fails_the_call_and_leaves_no_thread(monkeypatch):
+    ctx = ctx_for(65539)  # p - 1 > CHUNK: two chunks, two threads
+    psi = SparsePoly.from_terms(ctx.p, [(3, 5), (1, 2), (7, 9), (2, 11)])
+    monkeypatch.setattr(field, "CPUS", 2)
+    roots = sums.roots_of_unity
+    for fail_in_caller in (True, False):  # part 0 runs in the calling thread
+
+        def flaky(u, n, out, fail_in_caller=fail_in_caller):
+            if (threading.current_thread() is threading.main_thread()) == fail_in_caller:
+                raise ZeroDivisionError("part failed")
+            return roots(u, n, out)
+
+        monkeypatch.setattr(sums, "roots_of_unity", flaky)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="part failed"):
+            sum_exact(ctx, psi, CharacterIndex(1))
+        assert threading.active_count() == before
+
+
+def test_threaded_sum_exact_memory_is_a_few_chunks(monkeypatch):
+    # the parts share one chunk's buffers: fifteen threads (one per chunk at
+    # this p) use no more memory than one
+    p = 982_801
+    ctx = ctx_for(p)
+    psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
+    peaks = {}
+    for cpus in (1, 2, 16):
+        monkeypatch.setattr(field, "CPUS", cpus)
+        sum_exact(ctx, psi, CharacterIndex(1))
+        tracemalloc.start()
+        try:
+            sum_exact(ctx, psi, CharacterIndex(1))
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert max(peaks.values()) < 16 * 2**20
+    assert peaks[16] < peaks[1] + 2**20  # numpy's casting buffers are per thread
+
+
+def test_decomposition_memory_does_not_grow_with_the_cpus(monkeypatch):
+    # at most ROW_BUFFERS rows are gathered at once, whatever the CPU count
+    p = 100801
+    ctx = ctx_for(p)
+    psi = _gcd_structured_quadrinomial(np.random.default_rng(7), p, (16, 18, 10))
+    chi = CharacterIndex(3)
+    peaks = {}
+    for cpus in (1, 16):
+        monkeypatch.setattr(field, "CPUS", cpus)
+        sum_decomposed(ctx, psi, chi)
+        tracemalloc.start()
+        try:
+            sum_decomposed(ctx, psi, chi)
+            peaks[cpus] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] < 16 * 2**20
+    assert peaks[16] < peaks[1] + (sums.ROW_BUFFERS - 1) * 16 * (p - 1) + 2**18
+
+
 @pytest.mark.parametrize("p, chunk", [(101, 7), (65539, 1000)])
 def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
     # chi_j(g**t) is evaluated chunk by chunk as exp(2 pi i u/(p-1)), u = j t
@@ -187,7 +301,7 @@ def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
     monkeypatch.setattr(sums, "roots_of_unity", spy)
     for j in (0, 1, 10, n, n + 3):  # gcd(10, p-1) > 1; n == 0 and n + 3 == 3 mod p-1
         calls.clear()
-        terms = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, CharacterIndex(j))])
+        terms = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, CharacterIndex(j))()])
         if j % n == 0:
             assert calls == []
             assert terms.tobytes() == e_vals.tobytes()
@@ -210,10 +324,10 @@ def test_phase_sums_are_reduced_before_they_can_overflow(monkeypatch):
     ctx = ctx_for(p)
     psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11), (5, 13)])
     chi = CharacterIndex(7)
-    whole = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)])
+    whole = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)()])
     for batch in (1, 2):
         monkeypatch.setattr(sums, "_unreduced_terms", lambda p, b=batch: b)
-        grouped = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)])
+        grouped = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)()])
         assert grouped.tobytes() == whole.tobytes()
 
 

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from sparsesums import ConfigInvalid, SweepConfig, UnknownKind, emit_plot_data, run_sweep, run_verify
-from sparsesums import sweep
+from sparsesums import CharacterIndex, SparsePoly, field, sum_exact, sweep
 from sparsesums.bounds import dx_bound, n_triples_bound, shifted_energy_bound
 from sparsesums.energy import d_times, n_triples, shifted_energy
 from sparsesums.errors import BudgetExceeded
@@ -141,9 +141,13 @@ def test_run_sweep_is_deterministic_and_order_indexed():
     assert records_to_jsonl(a, cfg).split("\n", 1)[1] == records_to_jsonl(b, cfg).split("\n", 1)[1]
 
 
-def test_run_sweep_parallel_equivalence():
+def test_run_sweep_parallel_equivalence(monkeypatch):
     cfg = tiny_config()
     serial = run_sweep(cfg)
+    # the pool forks after a threaded sum: the sum's threads are gone by then
+    monkeypatch.setattr(field, "CPUS", 2)
+    p = 65539
+    sum_exact(make_field_ctx(p), SparsePoly.from_terms(p, [(1, 3), (2, 5)]), CharacterIndex(1))
     parallel = run_sweep(replace(cfg, workers=2))
     assert serial == parallel
 
