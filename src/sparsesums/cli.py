@@ -29,7 +29,7 @@ from .energy import (
     shifted_energy,
 )
 from .errors import IoFailure, SparseSumsError
-from .field import SparsePoly, make_field_ctx
+from .field import SparsePoly, check_modulus, make_field_ctx
 from .sums import CharacterIndex, sum_decomposed, sum_exact
 from .sweep import (
     DEFAULT_CONFIG,
@@ -139,6 +139,7 @@ def _poly_exponents(args) -> tuple[SparsePoly, tuple[int, ...]]:
 
 
 def cmd_bounds(args) -> int:
+    check_modulus(args.p)  # the catalog builds no context, which would check p
     psi, exps = _poly_exponents(args)
     k, l, m, n = exps
     ccp_val, ccp_ok = ccp_bound(args.p, k, l, m, n)

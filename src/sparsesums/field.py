@@ -13,13 +13,13 @@ character sums evaluate them per chunk with `roots_of_unity`, the expression
 that also fills e_table, so a value does not depend on where it is computed.
 `FieldCtx.chi_unit` builds the length p-1 table on first access only.
 
-The tables are filled in blocks of TABLE_BLOCK residues. Above one block the
-work is shared out over the process's CPUs (`CPUS`, read at import) on
-threads that are joined before `make_field_ctx` returns; the threads split
-one block of scratch, so memory does not grow with their number. Each entry
-is computed by the same expression whichever thread fills it, so the tables
-do not depend on the thread count; a prime with p <= TABLE_BLOCK starts no
-thread.
+The tables are filled in blocks of TABLE_BLOCK residues, and above one block
+on the process's CPUs (`CPUS`, read at import). `_run_parts` is the one place
+where every length-p loop of the package, here and in `sums`, is split into
+parts: it hands each part its share of one block of scratch and the stretches
+it covers, runs the parts on threads and returns when all have finished.
+Each entry is computed by the same expression whichever part fills it, so the
+tables do not depend on the thread count.
 
 p is capped below 2**31 so every modular product of two residues fits in a
 signed 64-bit intermediate.
@@ -28,7 +28,6 @@ signed 64-bit intermediate.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isqrt
@@ -129,40 +128,44 @@ def roots_of_unity(u: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def _run_parts(fn, pieces: int) -> list:
-    """Call fn(part, parts) for part = 0..parts-1, parts = min(CPUS, pieces),
-    and return the results in part order: part 0 runs in the calling thread,
-    each other part in a thread of its own. Returns once every part has
-    finished, raising the first exception any part raised. No thread outlives
-    the call and no pool is kept, so the process may fork afterwards.
+def _stretches(n: int, step: int, part: int = 0, parts: int = 1):
+    """Yield the (start, m) of every parts-th run of `step` values in [0, n),
+    from the part-th on."""
+    return ((start, min(step, n - start)) for start in range(0, n, step)[part::parts])
 
-    Callers share buffers of a fixed total size among the parts, so memory
-    does not grow with the number of CPUs."""
-    parts = min(CPUS, pieces)
+
+def _run_parts(fn, n: int, block: int) -> list:
+    """Run a loop over [0, n) in parts and return fn's results in part order.
+
+    The one place where a length-p loop is split. A caller holds one block of
+    scratch, `block` entries long (no more than n are needed). There are
+    parts = min(CPUS, ceil(n / block), block) parts, at most one per block
+    and at least one entry of scratch each, and step = min(n, block) // parts.
+    Part i is called as fn(share, stretches): `share` is the slice
+    [i step, (i+1) step) of the scratch, and `stretches` yields the (start, m)
+    of every parts-th run of step values from the i-th, so the parts together
+    cover [0, n) once and every m fits the share.
+
+    Part 0 runs in the calling thread and every other part on a pool thread.
+    Returns once every part has finished, raising the first exception in part
+    order. No thread outlives the call and no pool is kept, so the process may
+    fork afterwards; callers share buffers of a fixed total size among the
+    parts, so memory does not grow with the number of CPUs."""
+    parts = min(CPUS, -(-n // block), block)
+    step = min(n, block) // parts
+
+    def run(part: int):
+        return fn(slice(part * step, (part + 1) * step), _stretches(n, step, part, parts))
+
     if parts == 1:
-        return [fn(0, 1)]
-    results = [None] * parts
-    errors = []
+        return [run(0)]
+    # imported here: the one-part path, every prime up to one block, loads no pool
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run(part: int) -> None:
-        try:
-            results[part] = fn(part, parts)
-        except BaseException as exc:  # re-raised in the calling thread below
-            errors.append(exc)
-
-    threads = []
-    try:
-        for part in range(1, parts):
-            thread = threading.Thread(target=run, args=(part,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(parts - 1) as pool:
+        others = [pool.submit(run, part) for part in range(1, parts)]
+        first = run(0)
+        return [first] + [other.result() for other in others]
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,10 +189,23 @@ class FieldCtx:
         package itself evaluates these values per chunk and never reads it."""
         n = self.p - 1
         table = np.empty(n, dtype=np.complex128)
-        for start in range(0, n, TABLE_BLOCK):
-            u = np.arange(start, min(start + TABLE_BLOCK, n), dtype=np.int64)
-            roots_of_unity(u, n, out=table[start : start + len(u)])
+
+        def fill(share: slice, stretches) -> None:
+            for start, m in stretches:
+                roots_of_unity(np.arange(start, start + m), n, out=table[start : start + m])
+
+        _run_parts(fill, n, TABLE_BLOCK)
         return table
+
+
+def check_modulus(p: int) -> None:
+    """Raise unless p is a prime with 3 <= p < 2**31, a modulus the package supports."""
+    if p >= MAX_MODULUS:
+        raise ModulusTooLarge(f"p={p} must be < 2**31")
+    if p < 3:
+        raise ValueError(f"p={p} must be at least 3")
+    if not is_prime(p):
+        raise CompositeModulus(f"p={p} is not prime")
 
 
 def make_field_ctx(p: int) -> FieldCtx:
@@ -198,12 +214,7 @@ def make_field_ctx(p: int) -> FieldCtx:
     The primitive root is always the smallest one, so discrete logs and
     character indexing are reproducible across runs.
     """
-    if p >= MAX_MODULUS:
-        raise ModulusTooLarge(f"p={p} must be < 2**31")
-    if p < 3:
-        raise ValueError(f"p={p} must be at least 3")
-    if not is_prime(p):
-        raise CompositeModulus(f"p={p} is not prime")
+    check_modulus(p)
     g = smallest_primitive_root(p)
     g_pow = _powers(g, p - 1, p)
     dlog = np.empty(p, dtype=np.int64)
@@ -211,23 +222,19 @@ def make_field_ctx(p: int) -> FieldCtx:
     e_table = np.empty(p, dtype=np.complex128)
     # Filled block by block straight into the final arrays, so no length-p
     # temporaries are made; each entry is the same expression as for one array.
-    # The parts split one block of scratch, and each fills every parts-th
-    # stretch of block // parts residues.
     block = min(p, TABLE_BLOCK)
     scratch = np.empty(block, dtype=np.int64)
     offsets = np.arange(block, dtype=np.int64)
 
-    def fill(part: int, parts: int) -> None:
-        step = block // parts
-        u = scratch[part * step : (part + 1) * step]
-        for start in range(part * step, p, parts * step):
-            m = min(step, p - start)
+    def fill(share: slice, stretches) -> None:
+        u = scratch[share]
+        for start, m in stretches:
             np.add(offsets[:m], start, out=u[:m])
             roots_of_unity(u[:m], p, out=e_table[start : start + m])
             m = min(m, p - 1 - start)  # exponents stop at p-2
             dlog[g_pow[start : start + m]] = u[:m]
 
-    _run_parts(fill, min(-(-p // block), block))  # a part per block, a residue per share
+    _run_parts(fill, p, block)
     return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow, e_table=e_table)
 
 

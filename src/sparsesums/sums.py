@@ -20,16 +20,14 @@ consecutive t (`_t_terms`):
     buffers: a floor division by a scalar is faster than numpy's remainder,
     and gives the same integers.
 
-Above one chunk the length-p loops run on the process's CPUs (`field.CPUS`),
-one part per thread. The parts share one chunk's buffers: each takes its
-share of them and computes every parts-th stretch of that length. Each part
-of `sum_exact` sums into an exact accumulator of its own, and the
-accumulators are merged; `sum_decomposed` fills tt the same way and sums its
-rows on at most ROW_BUFFERS threads, one row buffer each. Every term and
-every row sum is computed by the same expression whichever thread computes
-it, and the accumulator is exact, so the results do not depend on the thread
-count, and memory does not grow with it. The threads are joined before the
-call returns; with p - 1 <= CHUNK no thread is started.
+Above one chunk the length-p loops run in parts on the process's CPUs, as
+`field._run_parts` splits them over one chunk's buffers. Each part of
+`sum_exact` sums into an exact accumulator of its own, and the accumulators
+are merged; `sum_decomposed` fills tt the same way and sums its rows in at
+most ROW_BUFFERS parts, one row buffer each. Every term and every row sum is
+computed by the same expression whichever part computes it, and the
+accumulator is exact, so the results do not depend on the thread count, and
+memory does not grow with it.
 
 The real and imaginary parts are summed by `_ExactSum`, an error-free
 extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
@@ -57,7 +55,7 @@ from math import gcd
 import numpy as np
 
 from .errors import BudgetExceeded, NonzeroRequired
-from .field import FieldCtx, SparsePoly, _run_parts, roots_of_unity
+from .field import FieldCtx, SparsePoly, _run_parts, _stretches, roots_of_unity
 
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
@@ -182,16 +180,14 @@ def _make_sum(value: complex, term_count: int) -> SumValue:
 
 
 def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
-    """Return chunks(part=0, parts=1), a generator of (start, terms) with
-    terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s.
-
-    One chunk buffer of CHUNK exponents is shared by the parts: part i takes
-    its i-th share, of size // parts exponents, and covers every parts-th
-    stretch of that length, in order, so the parts together cover t = 0..p-2
-    and one part alone covers them in chunks of CHUNK. `terms` is valid until
-    that generator draws its next chunk. The monomial tables and the buffers
-    are built here once, so drawing chunks allocates nothing in whichever
-    thread draws them.
+    """Return chunks(share, stretches), a generator of (start, terms) with
+    terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s, for each (start, m)
+    in `stretches`, computed in the `share` of one chunk's buffers: one part
+    of the loop over t = 0..p-2 as `field._run_parts(fn, p - 1, CHUNK)` hands
+    it out. By default one part covers every t, in chunks of CHUNK. `terms`
+    is valid until that generator draws its next chunk. The monomial tables
+    and the buffers are built here once, so drawing chunks allocates nothing
+    in whichever thread draws them.
     """
     p, g, n = ctx.p, ctx.g, ctx.p - 1
     j = chi.j % n
@@ -204,13 +200,10 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     ints = np.empty((2, size), dtype=np.int64)
     values = np.empty((3 if j else 1, size), dtype=np.complex128)
 
-    def chunks(part: int = 0, parts: int = 1):
-        step = size // parts
-        share = slice(part * step, (part + 1) * step)
+    def chunks(share: slice = slice(None), stretches=None):
         acc, q = ints[:, share]
         e = values[0, share]
-        for start in range(part * step, n, parts * step):
-            m = min(step, n - start)
+        for start, m in _stretches(n, size) if stretches is None else stretches:
             acc[:m] = 0
             for group in groups:
                 for c, k, table in group:
@@ -260,18 +253,15 @@ def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     # the accumulators' level buffers, shared like the chunk buffers and made
     # here: allocated in the threads, they would stay in glibc's per-thread
     # arenas after the call
-    size = min(n, CHUNK)
-    work = np.empty((2, 2, size))
+    work = np.empty((2, 2, min(n, CHUNK)))
 
-    def add(part: int, parts: int) -> _ExactSum:
-        step = size // parts
-        acc = _ExactSum(work[:, :, part * step : (part + 1) * step])
-        for _, terms in chunks(part, parts):
+    def add(share: slice, stretches) -> _ExactSum:
+        acc = _ExactSum(work[:, :, share])
+        for _, terms in chunks(share, stretches):
             acc.add(terms)
         return acc
 
-    # a part per chunk, and at least one exponent per share of a chunk
-    total, *others = _run_parts(add, min(-(-n // CHUNK), CHUNK))
+    total, *others = _run_parts(add, n, CHUNK)
     for other in others:
         total.merge(other)
     return _make_sum(total.value(), n)
@@ -317,11 +307,11 @@ def sum_decomposed(
     tt = np.empty(2 * n, dtype=np.complex128)  # tt[t] = T(g**t), twice over
     chunks = _t_terms(ctx, psi, chi)
 
-    def fill(part: int, parts: int) -> None:
-        for start, terms in chunks(part, parts):
+    def fill(share: slice, stretches) -> None:
+        for start, terms in chunks(share, stretches):
             tt[start : start + len(terms)] = terms
 
-    _run_parts(fill, min(-(-n // CHUNK), CHUNK))
+    _run_parts(fill, n, CHUNK)
     tt[n:] = tt[:n]
     dw = ctx.dlog[1:]  # w = 1..p-1 in residue order
     offsets = ctx.dlog[vs].tolist()
@@ -330,13 +320,13 @@ def sum_decomposed(
     # repay a thread
     rows = np.empty((min(len(offsets), ROW_BUFFERS) if n > CHUNK else 1, n), dtype=np.complex128)
 
-    def sum_rows(part: int, parts: int) -> None:
-        row = rows[part]
-        inner[part::parts] = [
-            tt[s : s + n].take(dw, out=row, mode="clip").sum() for s in offsets[part::parts]
-        ]
+    def sum_rows(share: slice, stretches) -> None:
+        row = rows[share.start]
+        for start, m in stretches:
+            for i in range(start, start + m):
+                inner[i] = tt[offsets[i] : offsets[i] + n].take(dw, out=row, mode="clip").sum()
 
-    _run_parts(sum_rows, len(rows))
+    _run_parts(sum_rows, len(offsets), len(rows))
     total = _csum([inner * counts])
     return _make_sum(total / (a * b * c), a * b * c * (p - 1))
 

@@ -100,14 +100,14 @@ class SweepConfig:
         # The scalar checks live here so that dataclasses.replace (the CLI
         # overrides) is checked exactly as a config file is.
         seed = self.seed
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**64:
+        if not _is_int(seed) or not 0 <= seed < 2**64:
             raise ConfigInvalid("seed: must be an integer in [0, 2**64)")
         ceiling = self.ratio_ceiling
         if not isinstance(ceiling, (int, float)) or isinstance(ceiling, bool) or ceiling <= 0:
             raise ConfigInvalid("ratio_ceiling: must be a positive number")
         object.__setattr__(self, "ratio_ceiling", float(ceiling))
         workers = self.workers
-        if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        if not _is_int(workers) or workers < 1:
             raise ConfigInvalid("workers: must be an integer >= 1")
         if self.mode not in ("canonical", "best"):
             raise ConfigInvalid("mode: must be 'canonical' or 'best'")
@@ -156,15 +156,19 @@ class SweepConfig:
         return cls.from_dict(raw)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: no float, string or bool is taken for one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate_primes(raw) -> tuple[int, ...]:
     if isinstance(raw, dict):
         extra = set(raw) - {"start", "stop"}
         if extra:
             raise ConfigInvalid(f"primes: unknown range keys {sorted(extra)}")
-        try:
-            start, stop = int(raw["start"]), int(raw["stop"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid("primes: range needs integer 'start' and 'stop'") from exc
+        start, stop = raw.get("start"), raw.get("stop")
+        if not (_is_int(start) and _is_int(stop)):
+            raise ConfigInvalid("primes: range needs integer 'start' and 'stop'")
         candidates = [p for p in range(max(start, 3), stop + 1) if is_prime(p)]
     elif isinstance(raw, list):
         candidates = raw
@@ -172,7 +176,7 @@ def _validate_primes(raw) -> tuple[int, ...]:
         raise ConfigInvalid("primes: must be a list or a {start, stop} range")
     out = []
     for p in candidates:
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise ConfigInvalid(f"primes: {p!r} is not an integer")
         if p >= MAX_MODULUS:
             raise ConfigInvalid(f"primes: {p} is too large (must be < 2**31)")
@@ -200,17 +204,19 @@ def _validate_polynomials(raw) -> tuple[str, tuple]:
                 not isinstance(poly, list)
                 or len(poly) != 4
                 or not all(isinstance(t, list) and len(t) == 2 for t in poly)
+                or not all(_is_int(x) for t in poly for x in t)
             ):
                 raise ConfigInvalid(
-                    "polynomials: each explicit polynomial is a list of four [coeff, exp] pairs"
+                    "polynomials: each explicit polynomial is a list of four "
+                    "[coeff, exp] pairs of integers"
                 )
-            polys.append(tuple((int(c), int(k)) for c, k in poly))
+            polys.append(tuple((c, k) for c, k in poly))
         return kind, tuple(polys)
     if kind in ("random", "gcd_structured"):
         if not isinstance(body, dict) or set(body) != {"count"}:
             raise ConfigInvalid(f"polynomials: {kind} needs an object {{'count': n}}")
         count = body["count"]
-        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+        if not _is_int(count) or count < 1:
             raise ConfigInvalid(f"polynomials: {kind}.count must be an integer >= 1")
         return kind, (count,)
     raise ConfigInvalid(f"polynomials: unknown generator '{kind}'")
@@ -223,7 +229,7 @@ def _validate_characters(raw) -> tuple:
     for c in raw:
         if c in ("random", "all-orders"):
             out.append(c)
-        elif isinstance(c, int) and not isinstance(c, bool) and c >= 0:
+        elif _is_int(c) and c >= 0:
             out.append(c)
         else:
             raise ConfigInvalid(
@@ -248,7 +254,7 @@ def _validate_budgets(raw) -> tuple[tuple[str, int], ...]:
     for key, value in raw.items():
         if key not in DEFAULT_BUDGETS:
             raise ConfigInvalid(f"budgets: unknown budget '{key}'")
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ConfigInvalid(f"budgets: {key} must be an integer >= 1")
         out.append((key, value))
     return tuple(out)

@@ -101,6 +101,11 @@ def test_exit_codes(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sum", "--p", "15", "--poly", "1,3;1,1")
     assert code == 2
     assert "error" in err
+    # the bound catalog checks p as every other subcommand does
+    for p, reason in (("15", "is not prime"), ("4294967311", "must be < 2**31")):
+        code, out, err = run_cli(capsys, "bounds", "--p", p, "--poly", "1,1;1,2;1,3;1,5")
+        assert (code, out) == (2, "")
+        assert reason in err
     # colliding exponents -> config error
     code, _, _ = run_cli(capsys, "sum", "--p", "13", "--poly", "1,3;1,15")
     assert code == 2

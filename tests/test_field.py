@@ -152,6 +152,48 @@ def test_make_field_ctx_scratch_does_not_grow_with_the_cpus(monkeypatch):
     assert peaks[16] < peaks[1] + 2**20  # numpy's casting buffers are per thread
 
 
+def test_run_parts_covers_the_loop_once_in_disjoint_shares(monkeypatch):
+    import threading
+    from itertools import chain
+
+    from sparsesums import field
+
+    def part(share, stretches):  # what each part is handed, and where it ran
+        runs = np.fromiter(chain.from_iterable(stretches), dtype=np.int64).reshape(-1, 2)
+        return share, runs, threading.get_ident()
+
+    splits = set()
+    for cpus in (1, 2, 3, 16):
+        monkeypatch.setattr(field, "CPUS", cpus)
+        for n in (1, 2, 7, 2**16 - 1, 2**16, 2**16 + 1, 5 * 2**16 + 3):
+            for block in (1, 2, 7, 2**16):
+                parts = min(cpus, -(-n // block), block)
+                if (parts, n, block) in splits:  # the same split as at fewer CPUs
+                    continue
+                splits.add((parts, n, block))
+                results = field._run_parts(part, n, block)
+                assert len(results) == parts <= min(cpus, block)
+                assert results[0][2] == threading.get_ident()  # part 0 in the caller
+                scratch = np.zeros(min(n, block), dtype=np.int64)
+                runs = []
+                for i, (share, stretches, _) in enumerate(results):
+                    width = len(range(min(n, block))[share])
+                    assert width == share.stop - share.start >= 1
+                    scratch[share] += 1
+                    starts, ms = stretches.T
+                    # part order: part i's first stretch starts its i-th share
+                    assert starts[0] == share.start == i * width
+                    assert (np.diff(starts) > 0).all()
+                    assert (ms >= 1).all() and (ms <= width).all()
+                    runs.append(stretches)
+                assert (scratch <= 1).all()
+                runs = np.concatenate(runs)
+                runs = runs[np.argsort(runs[:, 0])]
+                ends = runs[:, 0] + runs[:, 1]
+                assert runs[0, 0] == 0 and ends[-1] == n
+                assert (runs[1:, 0] == ends[:-1]).all()
+
+
 def test_make_field_ctx_rejects_bad_moduli():
     with pytest.raises(CompositeModulus):
         make_field_ctx(15)

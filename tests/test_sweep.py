@@ -65,6 +65,10 @@ def test_config_rejects_bad_primes():
         SweepConfig.from_dict({"primes": {"start": 24, "stop": 28}})
     with pytest.raises(ConfigInvalid, match="primes"):
         SweepConfig.from_dict({"primes": {"start": 11, "whoops": 1}})
+    # a range's ends are JSON integers, not numbers or strings that convert to one
+    for start, stop in ((10.9, "30"), (10, 30.0), (True, 30)):
+        with pytest.raises(ConfigInvalid, match="primes"):
+            SweepConfig.from_dict({"primes": {"start": start, "stop": stop}})
 
 
 def test_config_prime_range_filters():
@@ -86,6 +90,13 @@ def test_config_rejects_bad_fields():
         ({"primes": [11], "mode": "fastest"}, "mode"),
         ({"primes": [11], "budgets": {"nope": 1}}, "budgets"),
         ({"primes": [11], "budgets": {"decomposition": "big"}}, "decomposition"),
+        # explicit terms are integers: none is truncated, parsed or read from a bool
+        ({"primes": [11], "polynomials": {"explicit": [[[1.5, 3], [2, 5], [3, 7], [4, 9.9]]]}},
+         "polynomials"),
+        ({"primes": [11], "polynomials": {"explicit": [[["x", 3], [2, 5], [3, 7], [4, 9]]]}},
+         "polynomials"),
+        ({"primes": [11], "polynomials": {"explicit": [[[1, True], [2, 5], [3, 7], [4, 9]]]}},
+         "polynomials"),
     ]
     for raw, needle in bad_cases:
         with pytest.raises(ConfigInvalid, match=needle):
