@@ -30,6 +30,7 @@ from .energy import (
 )
 from .errors import IoFailure, SparseSumsError
 from .field import SparsePoly, check_modulus, make_field_ctx
+from .subgroups import check_order, subgroup_of_order
 from .sums import CharacterIndex, sum_decomposed, sum_exact
 from .sweep import (
     DEFAULT_CONFIG,
@@ -59,8 +60,12 @@ def _complex_fields(value: complex, magnitude: float) -> dict:
 
 
 def cmd_sum(args) -> int:
-    ctx = make_field_ctx(args.p)
+    # the input is checked before the context (32 bytes per residue) is built
+    check_modulus(args.p)
     psi = SparsePoly.parse(args.p, args.poly)
+    if args.route != "exact" and psi.t != 4:
+        raise ValueError(f"sum: the decomposed route needs four terms, got {psi.t}")
+    ctx = make_field_ctx(args.p)
     chi = CharacterIndex(args.chi)
     out = {"p": args.p, "poly": str(psi), "j": chi.j % (args.p - 1)}
     if args.route in ("exact", "both"):
@@ -78,20 +83,27 @@ def cmd_sum(args) -> int:
     return 0
 
 
-def _parse_sets(ctx, args) -> list:
-    from .subgroups import subgroup_of_order
-
+def _parse_sets(args) -> list:
+    """The sets of `count`: subgroup orders, each checked to divide p-1, or
+    sorted residue lists; their number is checked against the quantity."""
     if (args.elements is None) == (args.orders is None):
         raise ValueError("count: provide exactly one of --elements or --orders")
     if args.orders is not None:
-        orders = [int(tok) for tok in args.orders.split(",") if tok.strip()]
-        return [subgroup_of_order(ctx, d) for d in orders]
-    sets = []
-    for group in args.elements.split(";"):
-        els = [int(tok) % ctx.p for tok in group.split(",") if tok.strip()]
-        if not els:
-            raise ValueError("count: empty element set")
-        sets.append(sorted(set(els)))
+        sets = [int(tok) for tok in args.orders.split(",") if tok.strip()]
+        for d in sets:
+            check_order(args.p, d)
+    else:
+        sets = []
+        for group in args.elements.split(";"):
+            els = [int(tok) % args.p for tok in group.split(",") if tok.strip()]
+            if not els:
+                raise ValueError("count: empty element set")
+            sets.append(sorted(set(els)))
+    need = _SET_ARITY[args.quantity]
+    if args.quantity == "energy" and args.shift is not None:
+        need = 1
+    if len(sets) != need:
+        raise ValueError(f"count: {args.quantity} expects {need} set(s), got {len(sets)}")
     return sets
 
 
@@ -99,13 +111,11 @@ _SET_ARITY = {"energy": 2, "dtimes": 1, "ntriples": 3, "idist": 2, "jdist": 2}
 
 
 def cmd_count(args) -> int:
+    check_modulus(args.p)
+    sets = _parse_sets(args)
     ctx = make_field_ctx(args.p)
-    sets = _parse_sets(ctx, args)
-    need = _SET_ARITY[args.quantity]
-    if args.quantity == "energy" and args.shift is not None:
-        need = 1
-    if len(sets) != need:
-        raise ValueError(f"count: {args.quantity} expects {need} set(s), got {len(sets)}")
+    if args.orders is not None:
+        sets = [subgroup_of_order(ctx, d) for d in sets]
     out = {"p": args.p, "quantity": args.quantity, "method": args.method,
            "sizes": [len(s) for s in sets]}
     if args.quantity == "energy":
@@ -175,8 +185,9 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ctx = make_field_ctx(args.p)
+    check_modulus(args.p)
     psi, _ = _poly_exponents(args)
+    ctx = make_field_ctx(args.p)
     report = compare_bounds(ctx, psi, CharacterIndex(args.chi), mode=args.mode)
     out = {
         "p": args.p,

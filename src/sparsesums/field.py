@@ -68,21 +68,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division (n < 2**62)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def divisors(n: int) -> list[int]:
     """Divisors of n >= 1 in ascending order, by trial division up to isqrt(n)."""
     small, large = [], []
@@ -95,11 +80,15 @@ def divisors(n: int) -> list[int]:
 
 
 def smallest_primitive_root(p: int) -> int:
-    """Smallest generator of the multiplicative group mod p."""
+    """Smallest generator of the multiplicative group mod p: the first g with
+    g**((p-1)/q) != 1 for every prime q | p-1, the primes read off divisors(p-1)."""
     phi = p - 1
-    factors = prime_factors(phi)
+    primes = []  # the divisors of phi that no smaller prime divisor divides
+    for d in divisors(phi)[1:]:
+        if all(d % q for q in primes):
+            primes.append(d)
     for g in range(2, p):
-        if all(pow(g, phi // q, p) != 1 for q in factors):
+        if all(pow(g, phi // q, p) != 1 for q in primes):
             return g
     raise ArithmeticError(f"no primitive root found for p={p}")
 

@@ -38,19 +38,21 @@ across blocks, which keeps the rounding error orders of magnitude below the
 1e-6 tolerances used by the verification suites.
 
 `sum_decomposed` stores the same terms once in exponent order, twice over:
-tt[t] = T(g**t) for t in 0..2(p-1)-1. For v = g**s, T(v*w) = tt[s + dlog w],
-so the row of v over w = 1..p-1 in residue order is one gather
-tt[s : s+p-1][dlog[1:]]: no index arithmetic per row, memory O(p) whatever
-the number of rows. The row holds the terms a residue-order table would give,
-in the same order, and each row is summed by the same numpy sum, so the
-result does not depend on how the rows are gathered.
+tt[t] = T(g**t) for t in 0..2(p-1)-1. The products xyz over subgroups of
+orders a, b, c are the subgroup of order L = lcm(a, b, c), so their logs s
+are the multiples of (p-1)/L and need no lookup. For v = g**s,
+T(v*w) = tt[s + dlog w], so the row of v over w = 1..p-1 in residue order is
+one gather tt[s : s+p-1][dlog[1:]]: no index arithmetic per row, memory O(p)
+whatever the number of rows. The row holds the terms a residue-order table
+would give, in the same order, and each row is summed by the same numpy sum,
+so the result does not depend on how the rows are gathered.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -278,15 +280,15 @@ def sum_decomposed(
     the evaluation here performs the quadruple summation (grouped by the value
     of xyz) rather than using that identity.
 
-    Each inner sum over w is the numpy sum of one row gathered from the
-    exponent-order terms at the offset dlog(xyz), w in residue order, so the
-    row and its bits are those of a residue-order table; the rows, weighted by
-    the number of (x, y, z) with that product, are summed exactly. Memory is
+    In the cyclic group F_p^* the products xyz form the subgroup of order
+    L = lcm(a, b, c), the g**s with s a multiple of (p-1)/L, and each is hit
+    abc/L times. Each inner sum over w is the numpy sum of one row gathered
+    from the exponent-order terms at the offset s, w in residue order, so the
+    row and its bits are those of a residue-order table; the L rows, weighted
+    by abc/L, are summed exactly, so their order cannot show. Memory is
     O(p) terms, independent of the number of rows and of CPUs: tt holds
     2(p-1) terms and at most ROW_BUFFERS rows of p-1 are gathered at once.
     """
-    from .subgroups import subgroup_of_order
-
     if psi.t != 4:
         raise ValueError(f"need a quadrinomial, got t={psi.t}")
     p = ctx.p
@@ -296,14 +298,7 @@ def sum_decomposed(
         raise BudgetExceeded(
             f"decomposition enumeration {a}*{b}*{c}*{p - 1} exceeds {budget}"
         )
-    ga = subgroup_of_order(ctx, a).as_array()
-    gb = subgroup_of_order(ctx, b).as_array()
-    gc_ = subgroup_of_order(ctx, c).as_array()
-    xy = (ga[:, None] * gb[None, :]).reshape(-1) % p
-    xyz = (xy[:, None] * gc_[None, :]).reshape(-1) % p
-    vs, counts = np.unique(xyz, return_counts=True)
-
-    n = p - 1
+    n, order = p - 1, lcm(a, b, c)
     tt = np.empty(2 * n, dtype=np.complex128)  # tt[t] = T(g**t), twice over
     chunks = _t_terms(ctx, psi, chi)
 
@@ -314,11 +309,11 @@ def sum_decomposed(
     _run_parts(fill, n, CHUNK)
     tt[n:] = tt[:n]
     dw = ctx.dlog[1:]  # w = 1..p-1 in residue order
-    offsets = ctx.dlog[vs].tolist()
-    inner = np.empty(len(offsets), dtype=np.complex128)
+    offsets = range(0, n, n // order)  # the logs s of the products xyz
+    inner = np.empty(order, dtype=np.complex128)
     # one row buffer per part; rows no longer than one chunk are too short to
     # repay a thread
-    rows = np.empty((min(len(offsets), ROW_BUFFERS) if n > CHUNK else 1, n), dtype=np.complex128)
+    rows = np.empty((min(order, ROW_BUFFERS) if n > CHUNK else 1, n), dtype=np.complex128)
 
     def sum_rows(share: slice, stretches) -> None:
         row = rows[share.start]
@@ -326,8 +321,8 @@ def sum_decomposed(
             for i in range(start, start + m):
                 inner[i] = tt[offsets[i] : offsets[i] + n].take(dw, out=row, mode="clip").sum()
 
-    _run_parts(sum_rows, len(offsets), len(rows))
-    total = _csum([inner * counts])
+    _run_parts(sum_rows, order, len(rows))
+    total = _csum([inner * (a * b * c // order)])
     return _make_sum(total / (a * b * c), a * b * c * (p - 1))
 
 

@@ -45,7 +45,7 @@ from .errors import (
     SparseSumsError,
     UnknownKind,
 )
-from .field import MAX_MODULUS, SparsePoly, divisors, is_prime, make_field_ctx
+from .field import MAX_MODULUS, SparsePoly, check_modulus, divisors, is_prime, make_field_ctx
 from .subgroups import subgroup_of_order
 from .sums import (
     DECOMPOSITION_BUDGET,
@@ -169,20 +169,21 @@ def _validate_primes(raw) -> tuple[int, ...]:
         start, stop = raw.get("start"), raw.get("stop")
         if not (_is_int(start) and _is_int(stop)):
             raise ConfigInvalid("primes: range needs integer 'start' and 'stop'")
-        candidates = [p for p in range(max(start, 3), stop + 1) if is_prime(p)]
+        if stop >= MAX_MODULUS:  # checked before the range is enumerated
+            raise ConfigInvalid(f"primes: range stop {stop} must be < 2**31")
+        out = [p for p in range(max(start, 3), stop + 1) if is_prime(p)]
     elif isinstance(raw, list):
-        candidates = raw
+        out = []
+        for p in raw:
+            if not _is_int(p):
+                raise ConfigInvalid(f"primes: {p!r} is not an integer")
+            try:
+                check_modulus(p)
+            except (SparseSumsError, ValueError) as exc:
+                raise ConfigInvalid(f"primes: {exc}") from exc
+            out.append(p)
     else:
         raise ConfigInvalid("primes: must be a list or a {start, stop} range")
-    out = []
-    for p in candidates:
-        if not _is_int(p):
-            raise ConfigInvalid(f"primes: {p!r} is not an integer")
-        if p >= MAX_MODULUS:
-            raise ConfigInvalid(f"primes: {p} is too large (must be < 2**31)")
-        if p < 3 or not is_prime(p):
-            raise ConfigInvalid(f"primes: {p} is not an odd prime")
-        out.append(p)
     if not out:
         raise ConfigInvalid("primes: empty prime list")
     return tuple(out)

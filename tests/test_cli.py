@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsesums import make_field_ctx, mult_energy
+from sparsesums import cli, make_field_ctx, mult_energy
 from sparsesums.cli import main
 
 
@@ -79,6 +79,29 @@ def test_count_argument_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "count", "--p", "13", "--quantity", "energy")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("compare", "--p", "9959041", "--poly", "1,1;1,2"), "exactly four terms"),
+        (("sum", "--p", "9959041", "--poly", "1,1;1,x"), "invalid literal for int()"),
+        (("sum", "--p", "9959041", "--poly", "1,1;1,2", "--route", "both"),
+         "the decomposed route needs four terms, got 2"),
+        (("count", "--p", "9959041", "--quantity", "ntriples", "--orders", "2,3"),
+         "ntriples expects 3 set(s), got 2"),
+        (("count", "--p", "9959041", "--quantity", "dtimes", "--orders", "11"),
+         "order 11 does not divide p-1=9959040"),
+    ],
+)
+def test_input_errors_are_reported_before_the_context_is_built(capsys, monkeypatch, argv, message):
+    def no_context(p):
+        raise AssertionError(f"a context for p={p} was built before the input was checked")
+
+    monkeypatch.setattr(cli, "make_field_ctx", no_context)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_bounds_and_compare(capsys):

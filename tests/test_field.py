@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,25 @@ def test_smallest_primitive_roots():
     assert smallest_primitive_root(13) == 2
     assert smallest_primitive_root(41) == 6
     assert smallest_primitive_root(191) == 19
+
+
+def _order(g: int, p: int) -> int:
+    """Multiplicative order of g mod p, by stepping through its powers."""
+    x, k = g % p, 1
+    while x != 1:
+        x, k = x * g % p, k + 1
+    return k
+
+
+def test_smallest_primitive_root_by_brute_force():
+    for p in range(3, 3000):
+        if all(p % q for q in range(2, isqrt(p) + 1)):
+            g = smallest_primitive_root(p)
+            assert _order(g, p) == p - 1
+            assert all(_order(h, p) < p - 1 for h in range(2, g))
+    # the known smallest roots of two word-sized primes
+    assert smallest_primitive_root(2**31 - 1) == 7
+    assert smallest_primitive_root(10**9 + 7) == 5
 
 
 @pytest.mark.parametrize("p", SMALL_PRIMES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, lcm
 
 import numpy as np
@@ -124,6 +125,19 @@ def test_power_image_formulas(p, n):
         sub_img = power_image(ctx, sub, n)
         assert len(sub_img.image) == alpha // shared
         assert sub_img.multiplicity == shared
+
+
+@pytest.mark.parametrize("p", [11, 13, 31, 61, 101])
+def test_power_image_is_the_set_of_powers_with_its_multiplicity(p):
+    ctx = ctx_for(p)
+    for n in (0, 1, 2, p - 1, 2 * (p - 1) + 3):
+        for sub in [None, *all_subgroups(ctx)]:
+            xs = range(1, p) if sub is None else sub.elements
+            fibres = Counter(pow(x, n, p) for x in xs)
+            img = power_image(ctx, sub, n)
+            assert img.image == tuple(sorted(fibres))
+            assert set(fibres.values()) == {img.multiplicity}
+            assert img.source_size == len(xs)
 
 
 def test_gcd_params_worked_example():

@@ -71,6 +71,17 @@ def test_config_rejects_bad_primes():
             SweepConfig.from_dict({"primes": {"start": start, "stop": stop}})
 
 
+@pytest.mark.parametrize(
+    "primes", [{"start": 2**31, "stop": 2**31 + 10**6}, {"start": 3, "stop": 2**40}]
+)
+def test_config_rejects_a_range_past_the_cap_before_enumerating_it(monkeypatch, primes):
+    tested = []
+    monkeypatch.setattr(sweep, "is_prime", lambda n: tested.append(n) or is_prime(n))
+    with pytest.raises(ConfigInvalid, match=r"primes: range stop \d+ must be < 2\*\*31"):
+        SweepConfig.from_dict({"primes": primes})
+    assert tested == []
+
+
 def test_config_prime_range_filters():
     cfg = SweepConfig.from_dict({"primes": {"start": 10, "stop": 31}})
     assert cfg.primes == (11, 13, 17, 19, 23, 29, 31)
