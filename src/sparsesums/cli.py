@@ -31,7 +31,7 @@ from .energy import (
 from .errors import IoFailure, SparseSumsError
 from .field import SparsePoly, check_modulus, make_field_ctx
 from .subgroups import check_order, subgroup_of_order
-from .sums import CharacterIndex, sum_decomposed, sum_exact
+from .sums import CharacterIndex, decomposition_orders, sum_decomposed, sum_exact
 from .sweep import (
     DEFAULT_CONFIG,
     PLOT_KINDS,
@@ -60,11 +60,14 @@ def _complex_fields(value: complex, magnitude: float) -> dict:
 
 
 def cmd_sum(args) -> int:
-    # the input is checked before the context (32 bytes per residue) is built
+    # the input and the decomposition budget are checked before the context
+    # (16 bytes per residue) is built
     check_modulus(args.p)
     psi = SparsePoly.parse(args.p, args.poly)
-    if args.route != "exact" and psi.t != 4:
-        raise ValueError(f"sum: the decomposed route needs four terms, got {psi.t}")
+    if args.route != "exact":
+        if psi.t != 4:
+            raise ValueError(f"sum: the decomposed route needs four terms, got {psi.t}")
+        decomposition_orders(args.p, psi.exponents)
     ctx = make_field_ctx(args.p)
     chi = CharacterIndex(args.chi)
     out = {"p": args.p, "poly": str(psi), "j": chi.j % (args.p - 1)}

@@ -1,17 +1,19 @@
-"""Prime-field context: primality, primitive root, discrete-log and phase tables.
+"""Prime-field context: primality, primitive root and discrete-log tables.
 
 Everything downstream (character sums, counting, sweeps) works through a
-FieldCtx, which precomputes for a prime p, 32p - 8 bytes in all:
+FieldCtx, which precomputes for a prime p, 16p - 8 bytes in all:
 
   * dlog[x]   : index of x with respect to the smallest primitive root g,
                 i.e. g**dlog[x] == x (mod p), for x in 1..p-1,
-  * g_pow[t]  : g**t (mod p) for t in 0..p-2, built by doubling,
-  * e_table[u]: exp(2*pi*i*u/p) for u in 0..p-1 (additive characters).
+  * g_pow[t]  : g**t (mod p) for t in 0..p-2, built by doubling.
 
-Multiplicative character values exp(2*pi*i*u/(p-1)) are not stored: the
-character sums evaluate them per chunk with `roots_of_unity`, the expression
-that also fills e_table, so a value does not depend on where it is computed.
-`FieldCtx.chi_unit` builds the length p-1 table on first access only.
+Character values are not stored: the sums evaluate the additive characters
+exp(2*pi*i*u/p) and the multiplicative ones exp(2*pi*i*u/(p-1)) per chunk
+with `roots_of_unity`, so a value does not depend on where it is computed.
+Computing e_p per sum costs one complex exp per residue, about ten gathers,
+and saves a complex128 table of 16 B per residue on every context.
+`FieldCtx.e_table` and `FieldCtx.chi_unit` build the length p and p-1 tables
+by the same expression on first access only; the package never reads them.
 
 The tables are filled in blocks of TABLE_BLOCK residues, and above one block
 on the process's CPUs (`CPUS`, read at import). `_run_parts` is the one place
@@ -166,25 +168,32 @@ class FieldCtx:
 
     p: int
     g: int
-    dlog: np.ndarray = field(repr=False)    # length p; dlog[0] = -1
-    g_pow: np.ndarray = field(repr=False)   # length p-1
-    e_table: np.ndarray = field(repr=False)  # length p, complex128
+    dlog: np.ndarray = field(repr=False)   # length p; dlog[0] = -1
+    g_pow: np.ndarray = field(repr=False)  # length p-1
     # order -> Subgroup, filled by subgroups.subgroup_of_order
     subgroups: dict = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
+    def e_table(self) -> np.ndarray:
+        """exp(2*pi*i*u/p) for u in 0..p-1, built on first access."""
+        return _unit_roots(self.p)
+
+    @cached_property
     def chi_unit(self) -> np.ndarray:
-        """exp(2*pi*i*u/(p-1)) for u in 0..p-2, built on first access; the
-        package itself evaluates these values per chunk and never reads it."""
-        n = self.p - 1
-        table = np.empty(n, dtype=np.complex128)
+        """exp(2*pi*i*u/(p-1)) for u in 0..p-2, built on first access."""
+        return _unit_roots(self.p - 1)
 
-        def fill(share: slice, stretches) -> None:
-            for start, m in stretches:
-                roots_of_unity(np.arange(start, start + m), n, out=table[start : start + m])
 
-        _run_parts(fill, n, TABLE_BLOCK)
-        return table
+def _unit_roots(n: int) -> np.ndarray:
+    """exp(2*pi*i*u/n) for u in 0..n-1, block by block on the process's CPUs."""
+    table = np.empty(n, dtype=np.complex128)
+
+    def fill(share: slice, stretches) -> None:
+        for start, m in stretches:
+            roots_of_unity(np.arange(start, start + m), n, out=table[start : start + m])
+
+    _run_parts(fill, n, TABLE_BLOCK)
+    return table
 
 
 def check_modulus(p: int) -> None:
@@ -208,23 +217,21 @@ def make_field_ctx(p: int) -> FieldCtx:
     g_pow = _powers(g, p - 1, p)
     dlog = np.empty(p, dtype=np.int64)
     dlog[0] = -1  # g_pow is a permutation of 1..p-1: the scatter writes every other entry
-    e_table = np.empty(p, dtype=np.complex128)
-    # Filled block by block straight into the final arrays, so no length-p
-    # temporaries are made; each entry is the same expression as for one array.
-    block = min(p, TABLE_BLOCK)
+    # Filled block by block over the p-1 exponents straight into dlog, so no
+    # length-p temporaries are made.
+    n = p - 1
+    block = min(n, TABLE_BLOCK)
     scratch = np.empty(block, dtype=np.int64)
     offsets = np.arange(block, dtype=np.int64)
 
     def fill(share: slice, stretches) -> None:
-        u = scratch[share]
+        t = scratch[share]
         for start, m in stretches:
-            np.add(offsets[:m], start, out=u[:m])
-            roots_of_unity(u[:m], p, out=e_table[start : start + m])
-            m = min(m, p - 1 - start)  # exponents stop at p-2
-            dlog[g_pow[start : start + m]] = u[:m]
+            np.add(offsets[:m], start, out=t[:m])
+            dlog[g_pow[start : start + m]] = t[:m]
 
-    _run_parts(fill, p, block)
-    return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow, e_table=e_table)
+    _run_parts(fill, n, block)
+    return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow)
 
 
 @dataclass(frozen=True)

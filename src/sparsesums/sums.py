@@ -10,12 +10,13 @@ consecutive t (`_t_terms`):
     product stays below p**2 < 2**62 and the phase is the exact integer. The
     products are added unreduced while their sum fits in int64, which at
     every p up to about 2**30 means one reduction per chunk.
-  * e_p(u) = e_table[u], and chi_j(g**t) = exp(2*pi*i*u/(p-1)) for
-    u = j*t mod p-1, evaluated per chunk by `field.roots_of_unity`: bit for
-    bit the values a stored length p-1 table would hold, without the table's
-    16 B per residue. For j == 0 mod p-1 the terms are the e_p values as they
-    are. Otherwise the two are multiplied out of place into one reused buffer,
-    so every p and chunk size takes the same multiply loop.
+  * e_p(u) = exp(2*pi*i*u/p) for the phase u, and chi_j(g**t) =
+    exp(2*pi*i*u/(p-1)) for u = j*t mod p-1, both evaluated per chunk by
+    `field.roots_of_unity`: bit for bit the values stored length p and p-1
+    tables would hold, without the tables' 16 B per residue each. For
+    j == 0 mod p-1 the terms are the e_p values as they are. Otherwise the two
+    are multiplied out of place into one reused buffer, so every p and chunk
+    size takes the same multiply loop.
   * Both reductions mod p and mod p-1 are a - (a // p) * p in reused int64
     buffers: a floor division by a scalar is faster than numpy's remainder,
     and gives the same integers.
@@ -212,9 +213,7 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
                     np.multiply(table[:m], c * pow(g, k * start, p) % p, out=q[:m])
                     np.add(acc[:m], q[:m], out=acc[:m])
                 _reduce(acc[:m], p, q[:m])
-            # the phases are in range, so "clip" changes no value; it only keeps
-            # take from writing through a temporary copy of `e`
-            ctx.e_table.take(acc[:m], out=e[:m], mode="clip")
+            roots_of_unity(acc[:m], p, out=e[:m])
             if not j:  # chi_0 is 1 + 0j, and multiplying by it changes no bit
                 yield start, e[:m]
                 continue
@@ -292,12 +291,7 @@ def sum_decomposed(
     if psi.t != 4:
         raise ValueError(f"need a quadrinomial, got t={psi.t}")
     p = ctx.p
-    k, l, m, _ = psi.exponents
-    a, b, c = (gcd(k, p - 1), gcd(l, p - 1), gcd(m, p - 1))
-    if a * b * c * (p - 1) > budget:
-        raise BudgetExceeded(
-            f"decomposition enumeration {a}*{b}*{c}*{p - 1} exceeds {budget}"
-        )
+    a, b, c = decomposition_orders(p, psi.exponents, budget)
     n, order = p - 1, lcm(a, b, c)
     tt = np.empty(2 * n, dtype=np.complex128)  # tt[t] = T(g**t), twice over
     chunks = _t_terms(ctx, psi, chi)
@@ -326,6 +320,20 @@ def sum_decomposed(
     return _make_sum(total / (a * b * c), a * b * c * (p - 1))
 
 
+def decomposition_orders(
+    p: int, exponents, budget: int = DECOMPOSITION_BUDGET
+) -> tuple[int, int, int]:
+    """The subgroup orders a, b, c of `sum_decomposed`, the gcds of the first
+    three exponents with p-1; raises BudgetExceeded if its enumeration of
+    a*b*c*(p-1) terms exceeds `budget`. Needs no context."""
+    a, b, c = (gcd(k, p - 1) for k in exponents[:3])
+    if a * b * c * (p - 1) > budget:
+        raise BudgetExceeded(
+            f"decomposition enumeration {a}*{b}*{c}*{p - 1} exceeds {budget}"
+        )
+    return a, b, c
+
+
 def bilinear_sum(
     ctx: FieldCtx,
     xs,
@@ -341,7 +349,10 @@ def bilinear_sum(
     bw = np.asarray(beta_weights, dtype=np.complex128)
     if aw.shape != x.shape or bw.shape != y.shape:
         raise ValueError("weights must align with their sets")
-    terms = (aw[:, None] * bw[None, :]) * ctx.e_table[(x[:, None] * y[None, :]) % p]
+    phase = (x[:, None] * y[None, :]) % p
+    terms = (aw[:, None] * bw[None, :]) * roots_of_unity(
+        phase, p, out=np.empty(phase.shape, dtype=np.complex128)
+    )
     return _make_sum(_csum([terms]), len(x) * len(y))
 
 
@@ -386,10 +397,11 @@ def quadlinear_sum(
 
     yz = (y[:, None] * z[None, :]) % p
     block_sums = np.empty((len(w), len(x)), dtype=np.complex128)
+    phases = np.empty(yz.shape, dtype=np.complex128)
     for iw in range(len(w)):
         for ix in range(len(x)):
             c = a % p * w[iw] % p * x[ix] % p
-            phases = ctx.e_table[(c * yz) % p]
+            roots_of_unity((c * yz) % p, p, out=phases)
             wmat = (th[iw, ix][:, None] * rh[iw, ix][None, :]) * sg[iw] * ta[ix]
             block_sums[iw, ix] = (wmat * phases).sum()
     return _make_sum(_csum([block_sums]), size)

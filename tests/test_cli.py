@@ -92,6 +92,8 @@ def test_count_argument_errors(capsys):
          "ntriples expects 3 set(s), got 2"),
         (("count", "--p", "9959041", "--quantity", "dtimes", "--orders", "11"),
          "order 11 does not divide p-1=9959040"),
+        (("sum", "--p", "9959041", "--poly", "1,128;1,9;1,35;1,1", "--route", "decomposed"),
+         "decomposition enumeration 128*9*35*9959040 exceeds 1000000000"),
     ],
 )
 def test_input_errors_are_reported_before_the_context_is_built(capsys, monkeypatch, argv, message):

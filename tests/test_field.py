@@ -118,12 +118,15 @@ def test_block_built_tables_equal_the_whole_array_formulas(monkeypatch, p, block
         ctx = make_field_ctx(p)
         whole_dlog = np.full(p, -1, dtype=np.int64)
         whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int64)
-        assert ctx.e_table.tobytes() == whole_e.tobytes()
         assert ctx.dlog.tobytes() == whole_dlog.tobytes()
-    tables = (ctx.dlog, ctx.g_pow, ctx.e_table)
-    assert [t.dtype for t in tables] == [np.int64, np.int64, np.complex128]
-    assert sum(t.nbytes for t in tables) == 32 * p - 8
-    # the character table is built only when asked for, by the same expression
+        # the context stores two tables, 16 bytes per residue
+        stored = {name: t for name, t in vars(ctx).items() if isinstance(t, np.ndarray)}
+        assert list(stored) == ["dlog", "g_pow"]
+        assert [t.dtype for t in stored.values()] == [np.int64, np.int64]
+        assert sum(t.nbytes for t in stored.values()) == 16 * p - 8
+        # the character tables are built only when asked for, by the same expression
+        assert ctx.e_table.tobytes() == whole_e.tobytes()
+    assert ctx.e_table is ctx.e_table
     assert "chi_unit" not in ctx.__dict__
     assert ctx.chi_unit.tobytes() == whole_chi.tobytes()
     assert ctx.chi_unit is ctx.chi_unit
@@ -138,8 +141,8 @@ def test_powers_by_doubling_equal_builtin_pow(p):
 
 
 def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
-    # 32 bytes per residue (dlog 8, g_pow 8, e_table 16) plus block temporaries
-    # whatever p is: no character table and no length-p scratch
+    # 16 bytes per residue (dlog 8, g_pow 8) plus block temporaries whatever
+    # p is: no character table and no length-p scratch
     import tracemalloc
 
     p = 982_801
@@ -149,8 +152,8 @@ def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "chi_unit" not in ctx.__dict__
-    assert peak < 32 * p + 4 * 2**20
+    assert "e_table" not in ctx.__dict__ and "chi_unit" not in ctx.__dict__
+    assert peak < 16 * p + 4 * 2**20
 
 
 def test_make_field_ctx_scratch_does_not_grow_with_the_cpus(monkeypatch):
@@ -169,7 +172,7 @@ def test_make_field_ctx_scratch_does_not_grow_with_the_cpus(monkeypatch):
             peaks[cpus] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[16] < 32 * p + 4 * 2**20
+    assert peaks[16] < 16 * p + 4 * 2**20
     assert peaks[16] < peaks[1] + 2**20  # numpy's casting buffers are per thread
 
 

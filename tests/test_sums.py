@@ -278,9 +278,10 @@ def test_decomposition_memory_does_not_grow_with_the_cpus(monkeypatch):
 
 @pytest.mark.parametrize("p, chunk", [(101, 7), (65539, 1000)])
 def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
-    # chi_j(g**t) is evaluated chunk by chunk as exp(2 pi i u/(p-1)), u = j t
-    # mod p-1: bit for bit the values of one whole-array table, across chunk
-    # boundaries, and no evaluation at all when j == 0 mod p-1
+    # e_p(Psi(g**t)) and chi_j(g**t) are evaluated chunk by chunk as
+    # exp(2 pi i u/p) of the phase and exp(2 pi i u/(p-1)), u = j t mod p-1:
+    # bit for bit the values of whole-array tables, across chunk boundaries,
+    # one e_p evaluation per chunk, and no chi evaluation when j == 0 mod p-1
     ctx = ctx_for(p)
     n = p - 1
     psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
@@ -296,21 +297,29 @@ def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
         calls.append((u.copy(), m, values.copy()))
         return values
 
+    def evaluations(modulus):  # the arguments and values of the calls mod `modulus`
+        made = [(u, v) for u, m, v in calls if m == modulus]
+        assert len(made) == -(-n // chunk)
+        return np.concatenate([u for u, _ in made]), np.concatenate([v for _, v in made])
+
     sums_roots = sums.roots_of_unity
     monkeypatch.setattr(sums, "CHUNK", chunk)
     monkeypatch.setattr(sums, "roots_of_unity", spy)
     for j in (0, 1, 10, n, n + 3):  # gcd(10, p-1) > 1; n == 0 and n + 3 == 3 mod p-1
         calls.clear()
         terms = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, CharacterIndex(j))()])
+        assert {m for _, m, _ in calls} == ({p} if j % n == 0 else {p, n})
+        u, values = evaluations(p)
+        assert u.tolist() == phase.tolist()
+        assert values.tobytes() == e_vals.tobytes()
         if j % n == 0:
-            assert calls == []
             assert terms.tobytes() == e_vals.tobytes()
             continue
         u = j * t % n
         chi_vals = np.exp(2j * np.pi * u / (p - 1))
-        assert len(calls) == -(-n // chunk) and {m for _, m, _ in calls} == {n}
-        assert np.concatenate([x for x, _, _ in calls]).tolist() == u.tolist()
-        assert np.concatenate([v for _, _, v in calls]).tobytes() == chi_vals.tobytes()
+        args, values = evaluations(n)
+        assert args.tolist() == u.tolist()
+        assert values.tobytes() == chi_vals.tobytes()
         assert terms.tobytes() == np.multiply(chi_vals, e_vals).tobytes()
 
 
@@ -332,17 +341,26 @@ def test_phase_sums_are_reduced_before_they_can_overflow(monkeypatch):
 
 
 def test_sums_and_bounds_never_build_the_character_table():
+    # e_p and chi are evaluated per chunk or per phase array: no length-p
+    # complex table, additive or multiplicative
     from sparsesums.bounds import compare_bounds
     from sparsesums.field import make_field_ctx
 
     p = 1801
     ctx = make_field_ctx(p)  # a fresh context: no other test has read its tables
-    psi = _gcd_structured_quadrinomial(np.random.default_rng(p), p, (9, 10, 4))
+    rng = np.random.default_rng(p)
+    psi = _gcd_structured_quadrinomial(rng, p, (9, 10, 4))
     for j in (0, 1, 5):
         chi = CharacterIndex(j)
         sum_exact(ctx, psi, chi)
         sum_decomposed(ctx, psi, chi)
         compare_bounds(ctx, psi, chi)
+    xs, ys = rng.integers(0, p, 7), rng.integers(0, p, 5)
+    bilinear_sum(ctx, xs, ys, np.ones(7), np.ones(5))
+    w, x, y, z = xs[:2], xs[2:5], ys[:2], ys[2:]
+    quadlinear_sum(ctx, w, x, y, z, unit_weights(2, 3, 2), unit_weights(2, 3, 3),
+                   unit_weights(2, 2, 3), unit_weights(3, 2, 3), 3)
+    assert "e_table" not in ctx.__dict__
     assert "chi_unit" not in ctx.__dict__
 
 
