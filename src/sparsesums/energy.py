@@ -26,8 +26,7 @@ counted once per subgroup (Subgroup.classes).
 _mult_conv gives r(mu) = sum over x y == mu of a(x) b(y). With
 q = gcd(m_a, m_b) and a|q the fibre sum of a onto Z/q,
 r(0) = a(0) |b| + b(0) |a| - a(0) b(0) and r(g^t) = c v[t mod q] for
-v = a|q * b|q, a length-q cyclic convolution (a shifted fold when one table
-is a single point, as a subgroup's indicator is), and c = n / lcm(m_a, m_b).
+v = a|q * b|q, a length-q cyclic convolution, and c = n / lcm(m_a, m_b).
 E, D and N are sums over mu of r(mu) s(mu) (_pair_count): r0 r0' + c c'
 times the sum over t in Z/n of v[t mod q] v'[t mod q'], which is
 r0^2 + c^2 (n/q) sum v^2 when s is r. E(U, V) is the sum of r^2 for
@@ -37,7 +36,7 @@ at 0 set explicitly. On subgroups c = gcd(d_X, d_Y), and with q = gcd of the
 two class periods:
 
     r_XZ(mu != 0) = gcd(d_X, d_Z) A_X|q[dlog mu mod q]    (r for (d_X, 1_Z)),
-    E(G)       = d^3  (a one-point fold: r = d at the d elements of G),
+    E(G)       = d^3  (r = d at the d elements of G),
     D(G)       = r0^2 + d^3 sum (A * A)^2,  r0 = 2 d^3 - d^2,
     N(F, G, H) = d_F^2 d_G d_H + sum over mu != 0 of r_GF r_HF,
     I(0)       = d_W d_Z,  I(lam != 0) = r_WZ(lam),
@@ -67,7 +66,7 @@ import numpy as np
 
 from .errors import BudgetExceeded
 from .field import FieldCtx
-from .subgroups import Subgroup, product_set
+from .subgroups import Subgroup, check_field, product_set
 
 ORACLE_PAIR_BUDGET = 5_000       # all-pairs comparison arrays
 ORACLE_LOOP_BUDGET = 4_000_000   # python-loop enumerations
@@ -93,9 +92,10 @@ class Distribution:
     zero_count: int = 0
 
 
-def _as_array(s) -> np.ndarray:
+def _as_array(ctx: FieldCtx, s) -> np.ndarray:
     """The elements of s as an int64 array; every count is order-independent."""
     if isinstance(s, Subgroup):
+        check_field(ctx, s)
         return s.as_array()
     return np.asarray(s, dtype=np.int64)
 
@@ -177,6 +177,7 @@ def _indicator(ctx: FieldCtx, s) -> tuple:
     """The multiplicity table of s: the discrete logs of its nonzero elements
     with unit weights; a subgroup's is the one point 0 on its classes."""
     if isinstance(s, Subgroup):
+        check_field(ctx, s)
         return 0, s.order, (ctx.p - 1) // s.order, np.zeros(1, np.int64), np.ones(1, np.int64)
     s = np.asarray(s, dtype=np.int64) % ctx.p
     e = ctx.dlog[s[s != 0]]
@@ -207,17 +208,11 @@ def _fold(q: int, m: int, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.
 def _mult_conv(ctx: FieldCtx, a: tuple, b: tuple) -> tuple[int, int, np.ndarray]:
     """(r(0), c, v) with r(g**t) = c v[t mod len(v)] for r(mu) = sum over
     x y == mu mod p of a(x) b(y), two tables in periodic form."""
-    if len(a[3]) == 1:
-        a, b = b, a  # a one-point table shifts and scales the other
     (a0, na, ma, ea, wa), (b0, nb, mb, eb, wb) = a, b
     q = math.gcd(ma, mb)
     xs, wx = _fold(q, ma, ea, wa)
-    if len(eb) == 1:
-        v = np.zeros(q, dtype=np.int64)
-        np.add.at(v, (xs + eb[0]) % q, wx * wb[0])
-    else:
-        ys, wy = (xs, wx) if b is a else _fold(q, mb, eb, wb)
-        v = _cyclic_conv(q, xs, ys, wx, wy)
+    ys, wy = (xs, wx) if b is a else _fold(q, mb, eb, wb)
+    v = _cyclic_conv(q, xs, ys, wx, wy)
     return a0 * nb + b0 * na - a0 * b0, (ctx.p - 1) // math.lcm(ma, mb), v
 
 
@@ -259,8 +254,8 @@ def mult_energy(ctx: FieldCtx, us, vs, method: str = "optimized") -> CountValue:
     if method == "oracle":
         if n > ORACLE_PAIR_BUDGET:
             raise BudgetExceeded(f"oracle pair comparison at n={n} exceeds {ORACLE_PAIR_BUDGET}")
-        u = _as_array(us)
-        v = u if vs is us else _as_array(vs)
+        u = _as_array(ctx, us)
+        v = u if vs is us else _as_array(ctx, vs)
         prods = ((u[:, None] * v[None, :]) % p).reshape(-1)
         return CountValue(count=_equal_pairs(prods, prods), method=method)
     raise ValueError(f"unknown method {method!r}")
@@ -277,7 +272,7 @@ def _equal_pairs(left: np.ndarray, right: np.ndarray) -> int:
 def shifted_energy(ctx: FieldCtx, g, lam: int, method: str = "optimized") -> CountValue:
     """mult_energy of the shifted set G + lam (which may contain 0), for a
     subgroup or any list of residues."""
-    shifted = (_as_array(g) % ctx.p + lam % ctx.p) % ctx.p
+    shifted = (_as_array(ctx, g) % ctx.p + lam % ctx.p) % ctx.p
     return mult_energy(ctx, shifted, shifted, method=method)
 
 
@@ -295,7 +290,7 @@ def d_times(ctx: FieldCtx, us, method: str = "optimized") -> CountValue:
     """
     p = ctx.p
     if method == "oracle":
-        u = _as_array(us)
+        u = _as_array(ctx, us)
         if len(u) > DTIMES_ORACLE_MAX:
             raise BudgetExceeded(f"|U|={len(u)} exceeds oracle cap {DTIMES_ORACLE_MAX}")
         d = np.bincount(_difference_values(p, u), minlength=p)
@@ -342,7 +337,7 @@ def n_triples(
             raise BudgetExceeded(
                 f"oracle pair comparison {left_n}x{right_n} exceeds {ORACLE_PAIR_BUDGET}"
             )
-        f, g, h = map(_as_array, (fs, gs, hs))
+        f, g, h = (_as_array(ctx, s) for s in (fs, gs, hs))
         left = ((f[:, None] * _difference_values(p, g)[None, :]) % p).reshape(-1)
         right = ((f[:, None] * _difference_values(p, h)[None, :]) % p).reshape(-1)
         return CountValue(count=_equal_pairs(left, right), method=method)
@@ -367,8 +362,8 @@ def j_distribution(ctx: FieldCtx, xs, ys, method: str = "optimized") -> Distribu
             raise BudgetExceeded(f"J oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
         r = np.zeros(p, dtype=np.int64)
         zero_count = 0
-        dx_list = _difference_values(p, _as_array(xs)).tolist()
-        dy_list = _difference_values(p, _as_array(ys)).tolist()
+        dx_list = _difference_values(p, _as_array(ctx, xs)).tolist()
+        dy_list = _difference_values(p, _as_array(ctx, ys)).tolist()
         for a in dx_list:
             for b in dy_list:
                 mu = a * b % p
@@ -430,6 +425,7 @@ def lambda_square_sum(ctx: FieldCtx, s: Subgroup, g: Subgroup, h: Subgroup) -> i
     lam = (h - 1) / (g - 1). So cnt(lam) = 1 + c[dlog lam] for c the cyclic
     correlation of dlog(g - 1) and dlog(h - 1) over g, h != 1, and dlog lam
     runs over the multiples of (p-1) / |S|."""
+    check_field(ctx, s, g, h)
     _, _, n, a, wa = _indicator(ctx, g.as_array() - 1)
     _, _, _, b, wb = _indicator(ctx, h.as_array() - 1)
     cnt = 1 + _cyclic_conv(n, (n - a) % n, b, wa, wb)[:: n // s.order]
@@ -472,7 +468,7 @@ def i_distribution(ctx: FieldCtx, ws, zs, method: str = "optimized") -> Distribu
         if mass > ORACLE_LOOP_BUDGET:
             raise BudgetExceeded(f"I oracle enumeration {mass} exceeds {ORACLE_LOOP_BUDGET}")
         r = np.zeros(p, dtype=np.int64)
-        w_list, z_list = _as_array(ws).tolist(), _as_array(zs).tolist()
+        w_list, z_list = _as_array(ctx, ws).tolist(), _as_array(ctx, zs).tolist()
         for w1 in w_list:
             for w2 in w_list:
                 for zz in z_list:

@@ -21,10 +21,6 @@ class DegenerateExponents(SparseSumsError):
     """Two exponents of a sparse polynomial collide mod p - 1."""
 
 
-class NonUniformImage(SparseSumsError):
-    """Internal assertion: a power map produced a non-uniform fiber size."""
-
-
 class BudgetExceeded(SparseSumsError):
     """An enumeration would exceed its configured work budget."""
 

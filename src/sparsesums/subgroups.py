@@ -11,23 +11,30 @@ interchangeable (the sum is symmetric in its terms), so `canonical` mode
 permutes only those; `best` mode additionally tries each exponent in the
 delta role and returns all four candidate packs for downstream selection.
 
-A subgroup is built once per field context: `subgroup_of_order` memoizes on
-the FieldCtx, so the cache lives and dies with the context (one entry in a
-sweep's `cached_ctx`). Its `as_array()` is one cached int64 array, marked
-read-only because every caller that asks for the subgroup shares it; the
-`elements` tuple of Python ints stays the canonical value. Its cyclotomic
-class vector `classes(ctx)` is counted once and shared the same way.
+A subgroup is the triple (p, order, array): the array, its elements sorted as
+int64 and read-only, is the canonical value and the one stored; `elements` is
+a tuple of Python ints made from it on each access. Each order has exactly
+one subgroup, so two subgroups are equal, and hash alike, when their p and
+order are. `subgroup_of_order` builds the array once per field context and
+memoizes the subgroup on the FieldCtx, so the cache lives and dies with the
+context (one entry in a sweep's `cached_ctx`). Its cyclotomic class vector
+`classes(ctx)` is counted once and shared the same way.
+
+F_p^* is cyclic, so products and power images are again subgroups, read off
+in closed form rather than enumerated: the product of subgroups of orders
+a_1, ..., a_r is the subgroup of order lcm(a_i), and x -> x**n maps the
+subgroup of order a onto the one of order a/gcd(a, n), gcd(a, n) to one. The
+test suite checks both against brute-force enumeration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from math import gcd, lcm
 
 import numpy as np
 
-from .errors import NonUniformImage, NotADivisor
+from .errors import NotADivisor
 from .field import FieldCtx, divisors
 
 
@@ -35,26 +42,27 @@ from .field import FieldCtx, divisors
 class Subgroup:
     """The unique multiplicative subgroup of a given order d | p-1."""
 
+    p: int
     order: int
-    elements: tuple[int, ...]  # sorted residues
+    array: np.ndarray = field(compare=False, repr=False)  # sorted residues, read-only int64
 
     def __len__(self) -> int:
         return self.order
 
     def as_array(self) -> np.ndarray:
         """The elements as one shared, read-only int64 array."""
-        return self._array
+        return self.array
 
-    @cached_property
-    def _array(self) -> np.ndarray:
-        arr = np.asarray(self.elements, dtype=np.int64)
-        arr.flags.writeable = False
-        return arr
+    @property
+    def elements(self) -> tuple[int, ...]:
+        """The sorted elements as Python ints."""
+        return tuple(self.array.tolist())
 
     def classes(self, ctx: FieldCtx) -> np.ndarray:
         """A on Z/m, m = (p-1)/order, with A[c] = #{u != 1 : dlog(u - 1) mod m == c}:
-        the cyclotomic numbers of order m. Counted on the first call, in the
-        context that built the subgroup, then shared and read-only."""
+        the cyclotomic numbers of order m. Counted on the first call, then
+        shared and read-only."""
+        check_field(ctx, self)
         if "_classes" not in self.__dict__:  # stored as cached_property stores
             self.__dict__["_classes"] = _count_classes(ctx, self)
         return self.__dict__["_classes"]
@@ -62,10 +70,17 @@ class Subgroup:
 
 def _count_classes(ctx: FieldCtx, sub: Subgroup) -> np.ndarray:
     m = (ctx.p - 1) // sub.order
-    u = sub.as_array()
+    u = sub.array
     classes = np.bincount(ctx.dlog[u[u != 1] - 1] % m, minlength=m)
     classes.flags.writeable = False
     return classes
+
+
+def check_field(ctx: FieldCtx, *subs: Subgroup) -> None:
+    """Raise ValueError unless every subgroup in subs lies in ctx's field F_p^*."""
+    for sub in subs:
+        if sub.p != ctx.p:
+            raise ValueError(f"subgroup of order {sub.order} of F_{sub.p}^* used with p={ctx.p}")
 
 
 def check_order(p: int, d: int) -> None:
@@ -82,8 +97,9 @@ def subgroup_of_order(ctx: FieldCtx, d: int) -> Subgroup:
     sub = ctx.subgroups.get(d)
     if sub is None:
         check_order(ctx.p, d)
-        elems = np.sort(ctx.g_pow[:: (ctx.p - 1) // d])  # g**(k (p-1)/d), k < d
-        sub = ctx.subgroups[d] = Subgroup(order=d, elements=tuple(elems.tolist()))
+        arr = np.sort(ctx.g_pow[:: (ctx.p - 1) // d])  # g**(k (p-1)/d), k < d
+        arr.flags.writeable = False
+        sub = ctx.subgroups[d] = Subgroup(ctx.p, d, arr)
     return sub
 
 
@@ -93,31 +109,19 @@ def all_subgroups(ctx: FieldCtx) -> list[Subgroup]:
 
 
 def product_set(ctx: FieldCtx, subgroups: list[Subgroup]) -> Subgroup:
-    """Set of all products a_1 * ... * a_r, one factor per subgroup.
-
-    For subgroups of a cyclic group this is again a subgroup, of order
-    lcm(orders); the enumeration result is asserted against that closed form.
-    """
+    """Set of all products a_1 * ... * a_r, one factor per subgroup: in the
+    cyclic group F_p^* the subgroup of order lcm(orders)."""
     if not subgroups:
         raise ValueError("need at least one subgroup")
-    acc = subgroups[0].as_array()
-    for sub in subgroups[1:]:
-        prods = np.sort(((acc[:, None] * sub.as_array()[None, :]) % ctx.p).reshape(-1))
-        acc = prods[np.concatenate(([True], prods[1:] != prods[:-1]))]  # sorted, distinct
-    expected = subgroup_of_order(ctx, lcm(*[s.order for s in subgroups]))
-    if not np.array_equal(acc, expected.as_array()):
-        raise AssertionError(
-            f"product set of orders {[s.order for s in subgroups]} is not the "
-            f"lcm-order subgroup (p={ctx.p})"
-        )
-    return expected
+    check_field(ctx, *subgroups)
+    return subgroup_of_order(ctx, lcm(*(s.order for s in subgroups)))
 
 
 @dataclass(frozen=True)
 class ImageWithMultiplicity:
     """Image of a power map together with its (uniform) fiber size."""
 
-    image: tuple[int, ...]  # sorted residues
+    image: Subgroup
     multiplicity: int
     source_size: int
 
@@ -125,24 +129,14 @@ class ImageWithMultiplicity:
 def power_image(ctx: FieldCtx, source: Subgroup | None, n: int) -> ImageWithMultiplicity:
     """Image of x -> x**n on a subgroup (or, with source=None, on all of F_p^*).
 
-    The source of order a is {g**t : t a multiple of (p-1)/a}, so its logs are
-    known without a lookup and its image is g**(n t mod p-1). The closed forms:
-    on the full group the image has (p-1)/delta elements with multiplicity
-    delta = gcd(n, p-1); on a subgroup of order a it has a/gcd(a, n) elements
-    with multiplicity gcd(a, n). Uniformity is verified by counting the fibres
-    rather than assumed.
+    On the cyclic source of order a (a = p-1 for the full group) the image is
+    the subgroup of order a/gcd(a, n), each element hit gcd(a, n) times.
     """
-    q = ctx.p - 1
-    logs = np.arange(0, q, 1 if source is None else q // source.order, dtype=np.int64)
-    image, counts = np.unique(ctx.g_pow[(n % q) * logs % q], return_counts=True)
-    mult = int(counts[0])
-    if not np.all(counts == mult):
-        raise NonUniformImage(
-            f"power map x**{n} on source of size {len(logs)} has fibers {set(counts.tolist())}"
-        )
-    return ImageWithMultiplicity(
-        image=tuple(int(x) for x in image), multiplicity=mult, source_size=len(logs)
-    )
+    if source is not None:
+        check_field(ctx, source)
+    a = ctx.p - 1 if source is None else source.order
+    k = gcd(a, n)
+    return ImageWithMultiplicity(subgroup_of_order(ctx, a // k), multiplicity=k, source_size=a)
 
 
 @dataclass(frozen=True)

@@ -450,6 +450,33 @@ def test_product_set_multiplicative_span(ctx31):
     assert prod.order == 15
 
 
+def test_counters_reject_a_subgroup_from_another_field():
+    # 3 divides both 7 - 1 and 13 - 1; D of F_13's subgroup of order 3 is 2241
+    ctx7, ctx13 = make_field_ctx(7), make_field_ctx(13)
+    wrong, right = subgroup_of_order(ctx7, 3), subgroup_of_order(ctx13, 3)
+    assert d_times(ctx13, right).count == 2241
+    calls = [
+        lambda s: mult_energy(ctx13, s, s),
+        lambda s: mult_energy(ctx13, right, s, method="oracle"),
+        lambda s: shifted_energy(ctx13, s, 1),
+        lambda s: d_times(ctx13, s),
+        lambda s: d_times(ctx13, s, method="oracle"),
+        lambda s: n_triples(ctx13, right, s, right),
+        lambda s: n_triples(ctx13, s, right, right, method="oracle"),
+        lambda s: i_distribution(ctx13, s, right),
+        lambda s: i_distribution(ctx13, right, s, method="oracle"),
+        lambda s: j_distribution(ctx13, right, s),
+        lambda s: j_distribution(ctx13, s, right, method="oracle"),
+        lambda s: lambda_square_sum(ctx13, right, right, s),
+        lambda s: cauchy_step_report(ctx13, s, right, right),
+        lambda s: s.classes(ctx13),
+    ]
+    for call in calls:
+        call(right)
+        with pytest.raises(ValueError, match="F_7"):
+            call(wrong)
+
+
 def test_cauchy_step_counterexample_is_stable():
     ctx = ctx_for(11)
     rep = cauchy_step_report(

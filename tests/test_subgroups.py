@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import Counter
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 
 import numpy as np
@@ -50,12 +52,18 @@ def test_subgroup_is_built_once_per_context():
 def test_subgroup_array_is_shared_and_read_only():
     sub = subgroup_of_order(ctx_for(61), 12)
     arr = sub.as_array()
-    assert sub.as_array() is arr
+    assert sub.as_array() is arr is sub.array
     assert arr.dtype == np.int64
-    assert arr.tolist() == list(sub.elements)
+    assert [f.name for f in dataclasses.fields(sub)] == ["p", "order", "array"]
+    assert sub.elements == tuple(arr.tolist())
+    assert all(type(x) is int for x in sub.elements)
+    assert list(arr) == sorted(arr)
     with pytest.raises(ValueError):
         arr[0] = 2
     assert arr[0] == 1
+    other = subgroup_of_order(make_field_ctx(61), 12)
+    assert other is not sub and other == sub and hash(other) == hash(sub)
+    assert subgroup_of_order(ctx_for(61), 6) != sub != subgroup_of_order(ctx_for(13), 12)
 
 
 @pytest.mark.parametrize("p", [7, 13, 31, 101])
@@ -87,6 +95,27 @@ def test_product_set_is_lcm_subgroup(p):
                 assert prod is subgroup_of_order(ctx, lcm(a.order, b.order, c.order))
 
 
+@pytest.mark.parametrize("p", [13, 31, 61])
+def test_product_set_is_the_set_of_products(p):
+    ctx = ctx_for(p)
+    subs = all_subgroups(ctx)
+    for r in (2, 3):
+        for factors in combinations_with_replacement(subs, r):
+            products = {1}
+            for sub in factors:
+                products = {x * y % p for x in products for y in sub.elements}
+            assert product_set(ctx, list(factors)).elements == tuple(sorted(products))
+
+
+def test_product_set_and_power_image_reject_another_field():
+    ctx7, ctx13 = make_field_ctx(7), make_field_ctx(13)
+    sub = subgroup_of_order(ctx7, 3)
+    with pytest.raises(ValueError, match="F_7"):
+        product_set(ctx13, [sub])
+    with pytest.raises(ValueError, match="F_7"):
+        power_image(ctx13, sub, 2)
+
+
 def test_power_image_full_group():
     ctx = ctx_for(13)
     img = power_image(ctx, None, 3)
@@ -94,7 +123,7 @@ def test_power_image_full_group():
     assert img.multiplicity == 3
     assert len(img.image) == 4
     assert img.source_size == 12
-    assert set(img.image) == {1, 5, 8, 12}
+    assert img.image.elements == (1, 5, 8, 12)
 
 
 def test_power_image_on_subgroup():
@@ -135,7 +164,7 @@ def test_power_image_is_the_set_of_powers_with_its_multiplicity(p):
             xs = range(1, p) if sub is None else sub.elements
             fibres = Counter(pow(x, n, p) for x in xs)
             img = power_image(ctx, sub, n)
-            assert img.image == tuple(sorted(fibres))
+            assert img.image.elements == tuple(sorted(fibres))
             assert set(fibres.values()) == {img.multiplicity}
             assert img.source_size == len(xs)
 
