@@ -13,15 +13,16 @@ with `roots_of_unity`, so a value does not depend on where it is computed.
 Computing e_p per sum costs one complex exp per residue, about ten gathers,
 and saves a complex128 table of 16 B per residue on every context.
 `FieldCtx.e_table` and `FieldCtx.chi_unit` build the length p and p-1 tables
-by the same expression on first access only; the package never reads them.
+by the same expression, over the whole range at once, on first access only;
+the package never reads them.
 
-The tables are filled in blocks of TABLE_BLOCK residues, and above one block
-on the process's CPUs (`CPUS`, read at import). `_run_parts` is the one place
+`dlog` is filled in blocks of TABLE_BLOCK residues, and above one block on
+the process's CPUs (`CPUS`, read at import). `_run_parts` is the one place
 where every length-p loop of the package, here and in `sums`, is split into
 parts: it hands each part its share of one block of scratch and the stretches
 it covers, runs the parts on threads and returns when all have finished.
-Each entry is computed by the same expression whichever part fills it, so the
-tables do not depend on the thread count.
+Each entry is computed by the same expression whichever part fills it, so
+`dlog` does not depend on the thread count.
 
 p is capped below 2**31 so every modular product of two residues fits in a
 signed 64-bit intermediate.
@@ -176,24 +177,14 @@ class FieldCtx:
     @cached_property
     def e_table(self) -> np.ndarray:
         """exp(2*pi*i*u/p) for u in 0..p-1, built on first access."""
-        return _unit_roots(self.p)
+        p = self.p
+        return roots_of_unity(np.arange(p), p, out=np.empty(p, dtype=np.complex128))
 
     @cached_property
     def chi_unit(self) -> np.ndarray:
         """exp(2*pi*i*u/(p-1)) for u in 0..p-2, built on first access."""
-        return _unit_roots(self.p - 1)
-
-
-def _unit_roots(n: int) -> np.ndarray:
-    """exp(2*pi*i*u/n) for u in 0..n-1, block by block on the process's CPUs."""
-    table = np.empty(n, dtype=np.complex128)
-
-    def fill(share: slice, stretches) -> None:
-        for start, m in stretches:
-            roots_of_unity(np.arange(start, start + m), n, out=table[start : start + m])
-
-    _run_parts(fill, n, TABLE_BLOCK)
-    return table
+        n = self.p - 1
+        return roots_of_unity(np.arange(n), n, out=np.empty(n, dtype=np.complex128))
 
 
 def check_modulus(p: int) -> None:

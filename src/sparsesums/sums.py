@@ -30,13 +30,15 @@ computed by the same expression whichever part computes it, and the
 accumulator is exact, so the results do not depend on the thread count, and
 memory does not grow with it.
 
-The real and imaginary parts are summed by `_ExactSum`, an error-free
+Every sum goes through one accumulator, `_ExactSum`: an error-free
 extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
-summation", SIAM J. Sci. Comput. 31, 2008) whose result is the correctly
-rounded sum, the value math.fsum gives, independent of term order and chunk
-size. Large quadrilinear sums use numpy pairwise block sums combined exactly
-across blocks, which keeps the rounding error orders of magnitude below the
-1e-6 tolerances used by the verification suites.
+summation", SIAM J. Sci. Comput. 31, 2008) of the real and imaginary parts,
+whose result is the correctly rounded sum, the value math.fsum gives,
+independent of term order and chunk size. The one exception is the inner sums
+of `sum_decomposed`, one numpy sum per row, which define that route; the row
+sums then go through the accumulator too. The bilinear and quadrilinear forms
+stream their terms into it in blocks of whole rows of their last set, at most
+CHUNK terms or one row, so their memory does not grow with the number of terms.
 
 `sum_decomposed` stores the same terms once in exponent order, twice over:
 tt[t] = T(g**t) for t in 0..2(p-1)-1. The products xyz over subgroups of
@@ -77,8 +79,11 @@ class CharacterIndex:
 @dataclass(frozen=True)
 class SumValue:
     value: complex
-    magnitude: float
     term_count: int
+
+    @property
+    def magnitude(self) -> float:
+        return abs(self.value)
 
 
 class _ExactSum:
@@ -170,18 +175,6 @@ def _wrap(n: int) -> int:
     return (n + 2**63) % 2**64 - 2**63
 
 
-def _csum(chunks) -> complex:
-    """Correctly rounded sum of the complex arrays in `chunks`, part by part."""
-    acc = _ExactSum()
-    for part in chunks:
-        acc.add(part)
-    return acc.value()
-
-
-def _make_sum(value: complex, term_count: int) -> SumValue:
-    return SumValue(value=value, magnitude=abs(value), term_count=term_count)
-
-
 def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     """Return chunks(share, stretches), a generator of (start, terms) with
     terms[s] = chi(g**t) e_p(Psi(g**t)), t = start + s, for each (start, m)
@@ -265,7 +258,7 @@ def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     total, *others = _run_parts(add, n, CHUNK)
     for other in others:
         total.merge(other)
-    return _make_sum(total.value(), n)
+    return SumValue(total.value(), n)
 
 
 def sum_decomposed(
@@ -316,8 +309,9 @@ def sum_decomposed(
                 inner[i] = tt[offsets[i] : offsets[i] + n].take(dw, out=row, mode="clip").sum()
 
     _run_parts(sum_rows, order, len(rows))
-    total = _csum([inner * (a * b * c // order)])
-    return _make_sum(total / (a * b * c), a * b * c * (p - 1))
+    total = _ExactSum()
+    total.add(inner * (a * b * c // order))
+    return SumValue(total.value() / (a * b * c), a * b * c * (p - 1))
 
 
 def decomposition_orders(
@@ -341,7 +335,12 @@ def bilinear_sum(
     alpha_weights,
     beta_weights,
 ) -> SumValue:
-    """sum over (x, y) of alpha_x beta_y e_p(xy); weights align positionally."""
+    """sum over (x, y) of alpha_x beta_y e_p(xy); weights align positionally.
+
+    The terms (alpha_x beta_y) e_p(xy) stream into the exact accumulator in
+    blocks of whole rows over y, so the sum is correctly rounded and memory
+    is O(CHUNK + |Y|) terms.
+    """
     p = ctx.p
     x = np.asarray(xs, dtype=np.int64)
     y = np.asarray(ys, dtype=np.int64)
@@ -349,17 +348,13 @@ def bilinear_sum(
     bw = np.asarray(beta_weights, dtype=np.complex128)
     if aw.shape != x.shape or bw.shape != y.shape:
         raise ValueError("weights must align with their sets")
-    phase = (x[:, None] * y[None, :]) % p
-    terms = (aw[:, None] * bw[None, :]) * roots_of_unity(
-        phase, p, out=np.empty(phase.shape, dtype=np.complex128)
-    )
-    return _make_sum(_csum([terms]), len(x) * len(y))
-
-
-def _sorted_with_perm(s) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.asarray(s, dtype=np.int64)
-    perm = np.argsort(arr, kind="stable")
-    return arr[perm], perm
+    acc = _ExactSum()
+    rows = max(1, CHUNK // max(len(y), 1))
+    for i in range(0, len(x), rows):
+        phase = (x[i : i + rows, None] * y[None, :]) % p
+        e = roots_of_unity(phase, p, out=np.empty(phase.shape, dtype=np.complex128))
+        acc.add((aw[i : i + rows, None] * bw[None, :]) * e)
+    return SumValue(acc.value(), len(x) * len(y))
 
 
 def quadlinear_sum(
@@ -376,35 +371,33 @@ def quadlinear_sum(
 ) -> SumValue:
     """T = sum over (w,x,y,z) of theta_wxy rho_wxz sigma_wyz tau_xyz e_p(a wxyz).
 
-    Weight containers are dense arrays indexed by set position; sets are sorted
-    internally (with the weight axes permuted to match) so evaluation order is
-    deterministic regardless of input order.
+    The weights are dense arrays indexed by set position, of shapes (W, X, Y),
+    (W, X, Z), (W, Y, Z) and (X, Y, Z); other shapes raise ValueError. The
+    terms (((theta rho) sigma) tau) e_p(a wxyz) stream into the exact
+    accumulator in blocks of whole rows over z, taken in (w, x, y) order, so T
+    is their correctly rounded sum, the same whatever the order of the sets,
+    and memory is O(CHUNK + |Z|) terms.
     """
     p = ctx.p
     if a % p == 0:
         raise NonzeroRequired("the twist a must be a nonzero residue")
-    w, pw = _sorted_with_perm(ws)
-    x, px = _sorted_with_perm(xs)
-    y, py = _sorted_with_perm(ys)
-    z, pz = _sorted_with_perm(zs)
-    size = len(w) * len(x) * len(y) * len(z)
+    w, x, y, z = (np.asarray(s, dtype=np.int64) for s in (ws, xs, ys, zs))
+    nw, nx, ny, nz = len(w), len(x), len(y), len(z)
+    th, rh, sg, ta = (np.asarray(t, dtype=np.complex128) for t in (theta, rho, sigma, tau))
+    shapes = [(nw, nx, ny), (nw, nx, nz), (nw, ny, nz), (nx, ny, nz)]
+    if [t.shape for t in (th, rh, sg, ta)] != shapes:
+        raise ValueError(f"weights must have shapes {shapes}")
+    size = nw * nx * ny * nz
     if size > QUADLINEAR_BUDGET:
         raise BudgetExceeded(f"quadrilinear enumeration {size} exceeds {QUADLINEAR_BUDGET}")
-    th = np.asarray(theta, dtype=np.complex128)[np.ix_(pw, px, py)]
-    rh = np.asarray(rho, dtype=np.complex128)[np.ix_(pw, px, pz)]
-    sg = np.asarray(sigma, dtype=np.complex128)[np.ix_(pw, py, pz)]
-    ta = np.asarray(tau, dtype=np.complex128)[np.ix_(px, py, pz)]
-
-    yz = (y[:, None] * z[None, :]) % p
-    block_sums = np.empty((len(w), len(x)), dtype=np.complex128)
-    phases = np.empty(yz.shape, dtype=np.complex128)
-    for iw in range(len(w)):
-        for ix in range(len(x)):
-            c = a % p * w[iw] % p * x[ix] % p
-            roots_of_unity((c * yz) % p, p, out=phases)
-            wmat = (th[iw, ix][:, None] * rh[iw, ix][None, :]) * sg[iw] * ta[ix]
-            block_sums[iw, ix] = (wmat * phases).sum()
-    return _make_sum(_csum([block_sums]), size)
+    acc = _ExactSum()
+    rows = max(1, CHUNK // max(nz, 1))
+    for i in range(0, th.size, rows):
+        iw, ix, iy = np.unravel_index(np.arange(i, min(i + rows, th.size)), th.shape)
+        phase = (a % p * w[iw] % p * x[ix] % p * y[iy] % p)[:, None] * z % p
+        e = roots_of_unity(phase, p, out=np.empty(phase.shape, dtype=np.complex128))
+        acc.add(th[iw, ix, iy][:, None] * rh[iw, ix] * sg[iw, iy] * ta[ix, iy] * e)
+    return SumValue(acc.value(), size)
 
 
 def unit_weights(*dims: int) -> np.ndarray:

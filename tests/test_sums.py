@@ -448,12 +448,12 @@ def _decomposed_by_block_gather(ctx, psi, chi) -> complex:
     ws = np.arange(1, p, dtype=np.int64)
     vs = np.nonzero(counts)[0]
     rows = max(1, 2**22 // (p - 1))
-    partials = []
+    total = _ExactSum()
     for start in range(0, len(vs), rows):
         block = vs[start : start + rows]
         inner = terms[(block[:, None] * ws[None, :]) % p].sum(axis=1)
-        partials.append(inner * counts[block])
-    return sums._csum(partials) / (a * b * c)
+        total.add(inner * counts[block])
+    return total.value() / (a * b * c)
 
 
 def _gcd_structured_quadrinomial(rng, p: int, gcds) -> SparsePoly | None:
@@ -573,7 +573,7 @@ def test_quadlinear_sum_matches_direct(ctx13):
 
 
 def test_quadlinear_sum_weighted_oracle(ctx13):
-    # non-unit triple weights exercise the axis alignment under sorting
+    # non-unit triple weights on unsorted sets exercise the axis alignment
     ws, xs, ys, zs = (3, 1), (1, 5), (2, 1, 6), (4,)
     rng = np.random.default_rng(42)
 
@@ -603,3 +603,100 @@ def test_quadlinear_sum_rejects_zero_scale(ctx13):
     one = unit_weights(1, 1, 1)
     with pytest.raises(NonzeroRequired):
         quadlinear_sum(ctx13, *sets, one, one, one, one, a=13)
+
+
+def test_quadlinear_sum_rejects_weights_of_another_shape(ctx13):
+    # sets of sizes (W, X, Y, Z) = (2, 1, 2, 1): theta (W, X, Y), rho (W, X, Z),
+    # sigma (W, Y, Z), tau (X, Y, Z); a larger theta is not truncated
+    sets = ((1, 5), (2,), (3, 4), (6,))
+    shapes = [(2, 1, 2), (2, 1, 1), (2, 2, 1), (1, 2, 1)]
+    quadlinear_sum(ctx13, *sets, *(unit_weights(*s) for s in shapes), a=1)
+    for k, wrong in ((0, (3, 2, 5)), (0, (2, 2, 1)), (1, (2, 1, 2)), (2, (2, 1, 2)),
+                     (3, (2, 1, 2)), (3, (1, 2))):
+        weights = [unit_weights(*s) for s in shapes]
+        weights[k] = unit_weights(*wrong)
+        with pytest.raises(ValueError):
+            quadlinear_sum(ctx13, *sets, *weights, a=1)
+
+
+def _random_quadlinear(rng, p, dims):
+    sets = [rng.choice(np.arange(1, p), size=d, replace=False) for d in dims]
+    nw, nx, ny, nz = dims
+
+    def phases(*shape):
+        return np.exp(2j * np.pi * rng.random(shape))
+
+    return sets, [phases(nw, nx, ny), phases(nw, nx, nz), phases(nw, ny, nz), phases(nx, ny, nz)]
+
+
+@pytest.mark.parametrize("chunk", [3, 10, 64, sums.CHUNK])
+def test_quadlinear_sum_is_the_correctly_rounded_sum_of_its_terms(monkeypatch, chunk):
+    # the terms (((theta rho) sigma) tau) e_p(a wxyz) on the full grid, summed
+    # by math.fsum part by part: blocks of one row (chunk 3 < |Z|), of several
+    # rows, and all rows in one block
+    p, a = 101, 7
+    rng = np.random.default_rng(chunk)
+    (w, x, y, z), (theta, rho, sigma, tau) = _random_quadlinear(rng, p, (5, 4, 3, 7))
+    phase = a * w[:, None, None, None] * x[None, :, None, None] % p
+    phase = phase * y[None, None, :, None] % p * z[None, None, None, :] % p
+    terms = (
+        theta[:, :, :, None] * rho[:, :, None, :] * sigma[:, None, :, :] * tau[None, :, :, :]
+        * np.exp(2j * np.pi * phase / p)
+    )
+    monkeypatch.setattr(sums, "CHUNK", chunk)
+    sv = quadlinear_sum(ctx_for(p), w, x, y, z, theta, rho, sigma, tau, a)
+    assert _bits(sv.value) == _bits(complex(fsum(terms.real.ravel()), fsum(terms.imag.ravel())))
+    assert sv.term_count == terms.size
+
+
+def test_quadlinear_sum_does_not_depend_on_the_order_of_the_sets():
+    p = 7681
+    ctx = ctx_for(p)
+    rng = np.random.default_rng(11)
+    (w, x, y, z), (theta, rho, sigma, tau) = _random_quadlinear(rng, p, (9, 6, 5, 40))
+    value = quadlinear_sum(ctx, w, x, y, z, theta, rho, sigma, tau, 3).value
+    for _ in range(3):
+        pw, px, py, pz = (rng.permutation(len(s)) for s in (w, x, y, z))
+        permuted = quadlinear_sum(
+            ctx, w[pw], x[px], y[py], z[pz],
+            theta[np.ix_(pw, px, py)], rho[np.ix_(pw, px, pz)],
+            sigma[np.ix_(pw, py, pz)], tau[np.ix_(px, py, pz)], 3,
+        )
+        assert _bits(permuted.value) == _bits(value)
+
+
+def test_bilinear_sum_keeps_the_bits_of_its_whole_array_terms(monkeypatch):
+    # the terms as one (|X|, |Y|) array, summed exactly, against the row
+    # blocks: several blocks of several rows, and rows longer than a chunk
+    p = 1009
+    ctx = ctx_for(p)
+    rng = np.random.default_rng(5)
+    for (nx, ny), chunk in (((300, 500), sums.CHUNK), ((40, 70), 1000), ((9, 70), 64)):
+        x, y = rng.integers(0, 3 * p, nx), rng.integers(0, 3 * p, ny)
+        aw, bw = np.exp(2j * np.pi * rng.random(nx)), rng.random(ny) - 0.5
+        phase = (x[:, None] * y[None, :]) % p
+        whole = _ExactSum()
+        whole.add((aw[:, None] * bw[None, :]) * field.roots_of_unity(
+            phase, p, out=np.empty(phase.shape, dtype=np.complex128)))
+        monkeypatch.setattr(sums, "CHUNK", chunk)
+        sv = bilinear_sum(ctx, x, y, aw, bw)
+        assert _bits(sv.value) == _bits(whole.value())
+        assert sv.term_count == nx * ny
+
+
+def test_bilinear_and_quadlinear_memory_is_bounded_by_a_block():
+    # 4e6 and 9e6 terms: held at once, their terms alone would take 64 and 144 MB
+    ctx = ctx_for(65537)
+    rng = np.random.default_rng(2)
+    (w, x, y, z), weights = _random_quadlinear(rng, 65537, (1, 1, 2000, 2000))
+    xs, ys = rng.integers(1, 65537, 3000), rng.integers(1, 65537, 3000)
+    ones = unit_weights(3000)
+    for run in (lambda: quadlinear_sum(ctx, w, x, y, z, *weights, 5),
+                lambda: bilinear_sum(ctx, xs, ys, ones, ones)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
