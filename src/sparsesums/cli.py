@@ -61,7 +61,7 @@ def _complex_fields(value: complex, magnitude: float) -> dict:
 
 def cmd_sum(args) -> int:
     # the input and the decomposition budget are checked before the context
-    # (16 bytes per residue) is built
+    # (8 bytes per residue) is built
     check_modulus(args.p)
     psi = SparsePoly.parse(args.p, args.poly)
     if args.route != "exact":

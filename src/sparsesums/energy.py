@@ -180,7 +180,7 @@ def _indicator(ctx: FieldCtx, s) -> tuple:
         check_field(ctx, s)
         return 0, s.order, (ctx.p - 1) // s.order, np.zeros(1, np.int64), np.ones(1, np.int64)
     s = np.asarray(s, dtype=np.int64) % ctx.p
-    e = ctx.dlog[s[s != 0]]
+    e = ctx.dlog[s[s != 0]].astype(np.int64)  # _cyclic_conv adds two logs
     return len(s) - len(e), len(s), ctx.p - 1, e, np.ones(len(e), np.int64)
 
 
@@ -192,7 +192,7 @@ def _differences(ctx: FieldCtx, s) -> tuple:
         return s.order, s.order**2, len(a), e, a[e]
     d = diff_counts(ctx.p, s)
     xs = np.flatnonzero(d[1:]) + 1
-    return int(d[0]), len(s) ** 2, ctx.p - 1, ctx.dlog[xs], d[xs]
+    return int(d[0]), len(s) ** 2, ctx.p - 1, ctx.dlog[xs].astype(np.int64), d[xs]
 
 
 def _fold(q: int, m: int, e: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,11 +1,19 @@
 """Prime-field context: primality, primitive root and discrete-log tables.
 
 Everything downstream (character sums, counting, sweeps) works through a
-FieldCtx, which precomputes for a prime p, 16p - 8 bytes in all:
+FieldCtx, which precomputes for a prime p two int32 tables, 8p - 4 bytes in
+all:
 
   * dlog[x]   : index of x with respect to the smallest primitive root g,
                 i.e. g**dlog[x] == x (mod p), for x in 1..p-1,
-  * g_pow[t]  : g**t (mod p) for t in 0..p-2, built by doubling.
+  * g_pow[t]  : g**t (mod p) for t in 0..p-2, built by doubling within one
+                block and by scaling that block for every later one.
+
+Every entry is below p < 2**31, so int32 holds it. A reader that does
+arithmetic with the entries widens what it gathers to int64 where it reads
+it: two residues multiply past int32 above p = 46,341, and two logs add past
+it above 2**30. Readers that only index with the entries read them as they
+are.
 
 Character values are not stored: the sums evaluate the additive characters
 exp(2*pi*i*u/p) and the multiplicative ones exp(2*pi*i*u/(p-1)) per chunk
@@ -24,8 +32,8 @@ it covers, runs the parts on threads and returns when all have finished.
 Each entry is computed by the same expression whichever part fills it, so
 `dlog` does not depend on the thread count.
 
-p is capped below 2**31 so every modular product of two residues fits in a
-signed 64-bit intermediate.
+p is capped below 2**31 so every entry fits in int32 and every modular
+product of two residues in a signed 64-bit intermediate.
 """
 
 from __future__ import annotations
@@ -97,16 +105,29 @@ def smallest_primitive_root(p: int) -> int:
 
 
 def _powers(base: int, count: int, p: int) -> np.ndarray:
-    """base**t mod p for t in 0..count-1, by doubling: log2(count) array steps."""
-    out = np.empty(count, dtype=np.int64)
-    out[:1] = 1
+    """base**t mod p for t in 0..count-1 as int32.
+
+    The first block, t < TABLE_BLOCK, is built in int64 by doubling
+    (log2(TABLE_BLOCK) array steps) and stored; every later block starting at
+    t is that block times base**t mod p. Each product of two residues is
+    formed in int64, which int32 would overflow above p = 46,341, and only
+    its remainder mod p is stored."""
+    first = np.empty(min(count, TABLE_BLOCK), dtype=np.int64)
+    first[:1] = 1
     k, step = 1, base % p  # step == base**k mod p
-    while k < count:
-        m = min(k, count - k)
-        block = out[k : k + m]
-        np.multiply(out[:m], step, out=block)
+    while k < len(first):
+        m = min(k, len(first) - k)
+        block = first[k : k + m]
+        np.multiply(first[:m], step, out=block)
         np.remainder(block, p, out=block)
         k, step = k + m, step * step % p
+    out = np.empty(count, dtype=np.int32)
+    out[: len(first)] = first
+    product = np.empty_like(first)
+    for start in range(len(first), count, len(first)):
+        m = min(len(first), count - start)
+        np.multiply(first[:m], pow(base, start, p), out=product[:m])
+        np.remainder(product[:m], p, out=out[start : start + m], casting="unsafe")
     return out
 
 
@@ -169,8 +190,8 @@ class FieldCtx:
 
     p: int
     g: int
-    dlog: np.ndarray = field(repr=False)   # length p; dlog[0] = -1
-    g_pow: np.ndarray = field(repr=False)  # length p-1
+    dlog: np.ndarray = field(repr=False)   # int32, length p; dlog[0] = -1
+    g_pow: np.ndarray = field(repr=False)  # int32, length p-1
     # order -> Subgroup, filled by subgroups.subgroup_of_order
     subgroups: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -206,20 +227,24 @@ def make_field_ctx(p: int) -> FieldCtx:
     check_modulus(p)
     g = smallest_primitive_root(p)
     g_pow = _powers(g, p - 1, p)
-    dlog = np.empty(p, dtype=np.int64)
+    dlog = np.empty(p, dtype=np.int32)
     dlog[0] = -1  # g_pow is a permutation of 1..p-1: the scatter writes every other entry
     # Filled block by block over the p-1 exponents straight into dlog, so no
     # length-p temporaries are made.
     n = p - 1
     block = min(n, TABLE_BLOCK)
-    scratch = np.empty(block, dtype=np.int64)
-    offsets = np.arange(block, dtype=np.int64)
+    scratch = np.empty(block, dtype=np.int32)
+    offsets = np.arange(block, dtype=np.int32)
+    # g_pow's blocks are copied to intp before they index: numpy would convert
+    # an int32 index itself, more slowly
+    index = np.empty(block, dtype=np.intp)
 
     def fill(share: slice, stretches) -> None:
-        t = scratch[share]
+        t, x = scratch[share], index[share]
         for start, m in stretches:
             np.add(offsets[:m], start, out=t[:m])
-            dlog[g_pow[start : start + m]] = t[:m]
+            x[:m] = g_pow[start : start + m]
+            dlog[x[:m]] = t[:m]
 
     _run_parts(fill, n, block)
     return FieldCtx(p=p, g=g, dlog=dlog, g_pow=g_pow)

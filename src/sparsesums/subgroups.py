@@ -97,7 +97,8 @@ def subgroup_of_order(ctx: FieldCtx, d: int) -> Subgroup:
     sub = ctx.subgroups.get(d)
     if sub is None:
         check_order(ctx.p, d)
-        arr = np.sort(ctx.g_pow[:: (ctx.p - 1) // d])  # g**(k (p-1)/d), k < d
+        arr = ctx.g_pow[:: (ctx.p - 1) // d].astype(np.int64)  # g**(k (p-1)/d), k < d
+        arr.sort()  # in the widened copy: the one copy made
         arr.flags.writeable = False
         sub = ctx.subgroups[d] = Subgroup(ctx.p, d, arr)
     return sub

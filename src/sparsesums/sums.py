@@ -6,10 +6,11 @@ consecutive t (`_t_terms`):
 
   * Psi(g**t) mod p: for t = start + s, each monomial c*x**k contributes
     (c * g**(k*start) mod p) * g_pow[(k*s) mod p-1]. The table over s is built
-    once per monomial and scaled per chunk by a Python int below p, so every
-    product stays below p**2 < 2**62 and the phase is the exact integer. The
-    products are added unreduced while their sum fits in int64, which at
-    every p up to about 2**30 means one reduction per chunk.
+    once per monomial, widened from the context's int32 to int64, and scaled
+    per chunk by a Python int below p, so every product stays below
+    p**2 < 2**62 and the phase is the exact integer. The products are added
+    unreduced while their sum fits in int64, which at every p up to about
+    2**30 means one reduction per chunk.
   * e_p(u) = exp(2*pi*i*u/p) for the phase u, and chi_j(g**t) =
     exp(2*pi*i*u/(p-1)) for u = j*t mod p-1, both evaluated per chunk by
     `field.roots_of_unity`: bit for bit the values stored length p and p-1
@@ -189,7 +190,8 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     j = chi.j % n
     size = min(n, CHUNK)
     s = np.arange(size, dtype=np.int64)
-    tables = [(c, k, ctx.g_pow[(k * s) % n]) for c, k in psi.terms]
+    # widened once here: a residue times a coefficient overflows int32
+    tables = [(c, k, ctx.g_pow[(k * s) % n].astype(np.int64)) for c, k in psi.terms]
     batch = _unreduced_terms(p)
     groups = [tables[i : i + batch] for i in range(0, len(tables), batch)]
     js = s * j % n
@@ -279,7 +281,9 @@ def sum_decomposed(
     row and its bits are those of a residue-order table; the L rows, weighted
     by abc/L, are summed exactly, so their order cannot show. Memory is
     O(p) terms, independent of the number of rows and of CPUs: tt holds
-    2(p-1) terms and at most ROW_BUFFERS rows of p-1 are gathered at once.
+    2(p-1) terms, at most ROW_BUFFERS rows of p-1 are gathered at once, and
+    the int32 dlog[1:] is converted to one intp index array, 8 B per residue,
+    once per call rather than by `take` on every row.
     """
     if psi.t != 4:
         raise ValueError(f"need a quadrinomial, got t={psi.t}")
@@ -295,7 +299,7 @@ def sum_decomposed(
 
     _run_parts(fill, n, CHUNK)
     tt[n:] = tt[:n]
-    dw = ctx.dlog[1:]  # w = 1..p-1 in residue order
+    dw = ctx.dlog[1:].astype(np.intp)  # w = 1..p-1 in residue order; take's own index type
     offsets = range(0, n, n // order)  # the logs s of the products xyz
     inner = np.empty(order, dtype=np.complex128)
     # one row buffer per part; rows no longer than one chunk are too short to

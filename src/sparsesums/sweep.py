@@ -77,7 +77,7 @@ DEFAULT_BUDGETS = {
 
 
 # One entry: tasks come grouped by prime and pool workers get their chunks in
-# task order, so an evicted context (16 B per residue) is not asked for again.
+# task order, so an evicted context (8 B per residue) is not asked for again.
 @lru_cache(maxsize=1)
 def cached_ctx(p: int):
     return make_field_ctx(p)

@@ -94,6 +94,32 @@ def test_mult_energy_routes_agree_on_random_sets(ctx31):
             assert a == b
 
 
+def test_element_list_logs_are_int64_and_counts_agree_with_the_oracle_at_p_100003():
+    # the context stores int32 logs; the element-list tables widen the logs
+    # they gather, since _cyclic_conv adds two of them (past int32 above 2**30)
+    p = 100_003
+    ctx = ctx_for(p)
+    assert ctx.dlog.dtype == np.int32
+    rng = np.random.default_rng(p)
+    us = rng.integers(0, p, size=50).tolist() + [0, p - 1, p - 1]
+    vs = rng.integers(p - 1_000, p, size=40).tolist()
+    for s in (us, vs):
+        _, _, m, e, _ = energy._indicator(ctx, s)
+        assert m == p - 1 and e.dtype == np.int64
+        assert e.tolist() == [int(ctx.dlog[x]) for x in s if x]
+        _, _, m, e, _ = energy._differences(ctx, s)
+        assert m == p - 1 and e.dtype == np.int64
+        assert sorted(ctx.g_pow[e].tolist()) == sorted({(a - b) % p for a in s for b in s} - {0})
+    xs, ys = us[:20], vs[:25]
+    energy_uv = mult_energy(ctx, us, vs, method="oracle").count
+    d_u = d_times(ctx, us, method="oracle").count
+    j_xy = j_distribution(ctx, xs, ys, method="oracle")
+    for _route in each_route():
+        assert mult_energy(ctx, us, vs).count == energy_uv
+        assert d_times(ctx, us).count == d_u
+        assert j_distribution(ctx, xs, ys) == j_xy
+
+
 def _d_times_by_hand(p: int, us) -> int:
     """sum over mu of r(mu)^2, r(mu) = #{(x1, y1, x2, y2) : (x1 - y1)(x2 - y2) == mu}."""
     diffs = [(x - y) % p for x in us for y in us]

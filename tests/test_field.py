@@ -116,14 +116,14 @@ def test_block_built_tables_equal_the_whole_array_formulas(monkeypatch, p, block
     for cpus in (1, 2, 3, 16):  # the blocks shared out over one to five threads
         monkeypatch.setattr(field, "CPUS", cpus)
         ctx = make_field_ctx(p)
-        whole_dlog = np.full(p, -1, dtype=np.int64)
-        whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int64)
+        whole_dlog = np.full(p, -1, dtype=np.int32)
+        whole_dlog[ctx.g_pow] = np.arange(p - 1, dtype=np.int32)
         assert ctx.dlog.tobytes() == whole_dlog.tobytes()
-        # the context stores two tables, 16 bytes per residue
+        # the context stores two int32 tables, 8 bytes per residue
         stored = {name: t for name, t in vars(ctx).items() if isinstance(t, np.ndarray)}
         assert list(stored) == ["dlog", "g_pow"]
-        assert [t.dtype for t in stored.values()] == [np.int64, np.int64]
-        assert sum(t.nbytes for t in stored.values()) == 16 * p - 8
+        assert [t.dtype for t in stored.values()] == [np.int32, np.int32]
+        assert sum(t.nbytes for t in stored.values()) == 8 * p - 4
         # the character tables are built only when asked for, by the same expression
         assert ctx.e_table.tobytes() == whole_e.tobytes()
     assert ctx.e_table is ctx.e_table
@@ -140,8 +140,26 @@ def test_powers_by_doubling_equal_builtin_pow(p):
         assert _powers(g, count, p)[t].tolist() == [pow(g, x, p) for x in t]
 
 
+def test_powers_stored_as_int32_are_exact_at_the_largest_modulus():
+    # a product of two residues near 2**31 overflows int32: each is formed in
+    # int64, so no stored power wraps, in the first block and in the three
+    # after it, on both sides of every block boundary
+    from sparsesums.field import TABLE_BLOCK
+
+    p, g = 2**31 - 1, 7
+    count = 3 * TABLE_BLOCK + 12_345
+    powers = _powers(g, count, p)
+    assert powers.dtype == np.int32 and powers.nbytes == 4 * count
+    edges = [b * TABLE_BLOCK + d for b in (1, 2, 3) for d in (-2, -1, 0, 1)]
+    spread = np.linspace(0, count - 1, 2_000).astype(int).tolist()
+    t = sorted(set(range(40)) | set(edges) | set(spread))
+    assert powers[t].tolist() == [pow(g, x, p) for x in t]
+    # every stored value is a residue: none wrapped below 1 or past p - 1
+    assert int(powers.min()) >= 1 and int(powers.max()) < p
+
+
 def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
-    # 16 bytes per residue (dlog 8, g_pow 8) plus block temporaries whatever
+    # 8 bytes per residue (dlog 4, g_pow 4) plus block temporaries whatever
     # p is: no character table and no length-p scratch
     import tracemalloc
 
@@ -153,7 +171,7 @@ def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
     finally:
         tracemalloc.stop()
     assert "e_table" not in ctx.__dict__ and "chi_unit" not in ctx.__dict__
-    assert peak < 16 * p + 4 * 2**20
+    assert peak < 8 * p + 4 * 2**20
 
 
 def test_make_field_ctx_scratch_does_not_grow_with_the_cpus(monkeypatch):
@@ -172,7 +190,7 @@ def test_make_field_ctx_scratch_does_not_grow_with_the_cpus(monkeypatch):
             peaks[cpus] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[16] < 16 * p + 4 * 2**20
+    assert peaks[16] < 8 * p + 4 * 2**20
     assert peaks[16] < peaks[1] + 2**20  # numpy's casting buffers are per thread
 
 

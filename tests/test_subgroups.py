@@ -66,6 +66,20 @@ def test_subgroup_array_is_shared_and_read_only():
     assert subgroup_of_order(ctx_for(61), 6) != sub != subgroup_of_order(ctx_for(13), 12)
 
 
+def test_subgroup_array_is_widened_from_the_int32_context():
+    # the context stores int32 powers; the oracle routes multiply a subgroup's
+    # elements, and two residues of F_100003 multiply past int32
+    p = 100_003  # p - 1 = 2 * 3 * 7 * 2381
+    ctx = ctx_for(p)
+    assert ctx.g_pow.dtype == np.int32
+    for d in (42, 2381, p - 1):
+        arr = subgroup_of_order(ctx, d).array
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        assert arr.tolist() == sorted(pow(ctx.g, k * ((p - 1) // d), p) for k in range(d))
+        top = arr[-40:]  # the largest elements: their products stay in the subgroup
+        assert np.isin((top[:, None] * top[None, :]) % p, arr).all()
+
+
 @pytest.mark.parametrize("p", [7, 13, 31, 101])
 def test_subgroups_are_closed_under_product(p):
     ctx = ctx_for(p)

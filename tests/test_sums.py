@@ -5,6 +5,7 @@ from __future__ import annotations
 import sys
 import threading
 import tracemalloc
+from inspect import getclosurevars
 from math import copysign, fsum, gcd, isnan, ldexp, sqrt
 
 import numpy as np
@@ -338,6 +339,27 @@ def test_phase_sums_are_reduced_before_they_can_overflow(monkeypatch):
         monkeypatch.setattr(sums, "_unreduced_terms", lambda p, b=batch: b)
         grouped = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, chi)()])
         assert grouped.tobytes() == whole.tobytes()
+
+
+def test_monomial_tables_are_widened_from_the_int32_context():
+    # a stored power times a coefficient overflows int32 above p = 46,341: the
+    # tables `_t_terms` scales per chunk are int64 copies, one CHUNK each, and
+    # the phases are the exact residues
+    p = 100_003
+    ctx = ctx_for(p)
+    assert ctx.g_pow.dtype == np.int32
+    psi = SparsePoly.from_terms(p, [(p - 1, 5), (p - 2, 2), (p - 3, 9), (p - 4, 11)])
+    chunks = _t_terms(ctx, psi, CharacterIndex(0))
+    groups = getclosurevars(chunks).nonlocals["groups"]
+    s = np.arange(sums.CHUNK)
+    for (c, k), (_, _, table) in zip(psi.terms, [t for group in groups for t in group]):
+        assert table.dtype == np.int64 and len(table) == sums.CHUNK
+        assert table.tolist() == ctx.g_pow[(k * s) % (p - 1)].tolist()
+    start, terms = next(chunks())
+    t = np.linspace(0, sums.CHUNK - 1, 500).astype(int)
+    phases = np.array([psi.evaluate(pow(ctx.g, int(x), p)) for x in t])
+    expected = field.roots_of_unity(phases, p, out=np.empty(len(t), dtype=np.complex128))
+    assert start == 0 and terms[t].tobytes() == expected.tobytes()
 
 
 def test_sums_and_bounds_never_build_the_character_table():
