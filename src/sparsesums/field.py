@@ -24,13 +24,13 @@ and saves a complex128 table of 16 B per residue on every context.
 by the same expression, over the whole range at once, on first access only;
 the package never reads them.
 
-`dlog` is filled in blocks of TABLE_BLOCK residues, and above one block on
-the process's CPUs (`CPUS`, read at import). `_run_parts` is the one place
-where every length-p loop of the package, here and in `sums`, is split into
-parts: it hands each part its share of one block of scratch and the stretches
-it covers, runs the parts on threads and returns when all have finished.
-Each entry is computed by the same expression whichever part fills it, so
-`dlog` does not depend on the thread count.
+`g_pow` and `dlog` are filled in blocks of TABLE_BLOCK residues, and above
+one block on the process's CPUs (`CPUS`, read at import). `_run_parts` is the
+one place where every length-p loop of the package, here and in `sums`, is
+split into parts: it hands each part its share of one block of scratch and
+the stretches it covers, runs the parts on threads and returns when all have
+finished. Each entry is computed by the same expression whichever part fills
+it, so neither table depends on the thread count.
 
 p is capped below 2**31 so every entry fits in int32 and every modular
 product of two residues in a signed 64-bit intermediate.
@@ -111,7 +111,10 @@ def _powers(base: int, count: int, p: int) -> np.ndarray:
     (log2(TABLE_BLOCK) array steps) and stored; every later block starting at
     t is that block times base**t mod p. Each product of two residues is
     formed in int64, which int32 would overflow above p = 46,341, and only
-    its remainder mod p is stored."""
+    its remainder mod p is stored. The later blocks are independent, so they
+    run in parts on the process's CPUs, each in its share of one block of
+    product scratch; every entry is the same exact integer whichever part
+    stores it."""
     first = np.empty(min(count, TABLE_BLOCK), dtype=np.int64)
     first[:1] = 1
     k, step = 1, base % p  # step == base**k mod p
@@ -124,10 +127,16 @@ def _powers(base: int, count: int, p: int) -> np.ndarray:
     out = np.empty(count, dtype=np.int32)
     out[: len(first)] = first
     product = np.empty_like(first)
-    for start in range(len(first), count, len(first)):
-        m = min(len(first), count - start)
-        np.multiply(first[:m], pow(base, start, p), out=product[:m])
-        np.remainder(product[:m], p, out=out[start : start + m], casting="unsafe")
+
+    def scale(share: slice, stretches) -> None:
+        q = product[share]
+        for start, m in stretches:
+            start += len(first)  # base**(start + s) == first[s] * base**start
+            np.multiply(first[:m], pow(base, start, p), out=q[:m])
+            np.remainder(q[:m], p, out=out[start : start + m], casting="unsafe")
+
+    if count > len(first):
+        _run_parts(scale, count - len(first), len(first))
     return out
 
 
@@ -183,9 +192,13 @@ def _run_parts(fn, n: int, block: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """Arithmetic context for a prime modulus: immutable tables plus a subgroup cache.
+    """Arithmetic context for a prime modulus: immutable tables, a subgroup
+    cache and the last exact sum.
 
-    Share freely across workers; the cache only ever gains equal entries.
+    Share freely across workers; the cache only ever gains equal entries. The
+    last sum is one slot that `sums.sum_exact` reads and replaces: it holds
+    the (psi, chi) of the last evaluation that returned and its SumValue, and
+    it lives and dies with the context.
     """
 
     p: int
@@ -194,6 +207,9 @@ class FieldCtx:
     g_pow: np.ndarray = field(repr=False)  # int32, length p-1
     # order -> Subgroup, filled by subgroups.subgroup_of_order
     subgroups: dict = field(default_factory=dict, init=False, repr=False)
+    # [((psi, chi), SumValue)] of the last sums.sum_exact evaluation, [None]
+    # before one; replaced as a whole, so a reader never sees half an entry
+    last_sum: list = field(default_factory=lambda: [None], init=False, repr=False)
 
     @cached_property
     def e_table(self) -> np.ndarray:

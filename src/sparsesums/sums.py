@@ -31,6 +31,14 @@ computed by the same expression whichever part computes it, and the
 accumulator is exact, so the results do not depend on the thread count, and
 memory does not grow with it.
 
+`sum_exact` remembers its last result in one slot on the context it ran on,
+`FieldCtx.last_sum`, keyed by (psi, chi) as given: the identity, Weil and
+bounds checks of one (p, Psi, chi) ask for the same sum back to back, and the
+second and third calls return the first's SumValue. The slot holds one entry
+and goes with the context, so it pins no memory a dropped context would have
+freed. `sum_decomposed`, whose evaluation is the audit, and the kernel forms,
+which take weight arrays, always evaluate.
+
 Every sum goes through one accumulator, `_ExactSum`: an error-free
 extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
 summation", SIAM J. Sci. Comput. 31, 2008) of the real and imaginary parts,
@@ -243,7 +251,18 @@ def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     Each part sums its share of the terms into an exact accumulator of its
     own, and the accumulators are merged, so S is the correctly rounded sum
     whatever the thread count.
+
+    The context keeps the last result in its one slot `ctx.last_sum`, keyed by
+    (psi, chi) exactly as given: a call with an equal key returns that
+    SumValue, the bits a new evaluation would give, without evaluating. Any
+    other call evaluates and replaces the slot; one that raises leaves it as
+    it was. CharacterIndex(j) and CharacterIndex(j + p - 1) are different
+    keys, so each is evaluated.
     """
+    key = (psi, chi)
+    last = ctx.last_sum[0]
+    if last is not None and last[0] == key:
+        return last[1]
     n = ctx.p - 1
     chunks = _t_terms(ctx, psi, chi)
     # the accumulators' level buffers, shared like the chunk buffers and made
@@ -260,7 +279,9 @@ def sum_exact(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex) -> SumValue:
     total, *others = _run_parts(add, n, CHUNK)
     for other in others:
         total.merge(other)
-    return SumValue(total.value(), n)
+    result = SumValue(total.value(), n)
+    ctx.last_sum[0] = (key, result)
+    return result
 
 
 def sum_decomposed(

@@ -158,6 +158,29 @@ def test_powers_stored_as_int32_are_exact_at_the_largest_modulus():
     assert int(powers.min()) >= 1 and int(powers.max()) < p
 
 
+def test_powers_do_not_depend_on_the_thread_count(monkeypatch):
+    # the blocks after the first are shared out among the CPUs: every power is
+    # the same exact integer at 1, 2 and 16 CPUs, with a partial last block,
+    # whole blocks only, and one entry past the first block; the small block
+    # gives sixteen CPUs sixteen parts
+    from sparsesums import field
+
+    p, g = 2**31 - 1, 7
+    for block, counts in ((field.TABLE_BLOCK, (3 * field.TABLE_BLOCK + 12_345,)),
+                          (1000, (20 * 1000 + 37, 20 * 1000, 1001))):
+        monkeypatch.setattr(field, "TABLE_BLOCK", block)
+        for count in counts:
+            seen = set()
+            for cpus in (1, 2, 16):
+                monkeypatch.setattr(field, "CPUS", cpus)
+                seen.add(_powers(g, count, p).tobytes())
+            assert len(seen) == 1
+            powers = np.frombuffer(seen.pop(), dtype=np.int32)
+            t = np.unique(np.linspace(0, count - 1, 500).astype(int)).tolist()
+            t = sorted(set(t) | {count - 2, count - 1, block - 1, block})
+            assert powers[t].tolist() == [pow(g, x, p) for x in t]
+
+
 def test_make_field_ctx_allocates_its_tables_and_one_block_of_scratch():
     # 8 bytes per residue (dlog 4, g_pow 4) plus block temporaries whatever
     # p is: no character table and no length-p scratch

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
 import tracemalloc
+import weakref
 from inspect import getclosurevars
 from math import copysign, fsum, gcd, isnan, ldexp, sqrt
 
@@ -25,9 +27,27 @@ from sparsesums import (
     sum_exact,
     unit_weights,
 )
-from sparsesums import field, sums
+from sparsesums import field, make_field_ctx, sums
 from sparsesums.sums import _ExactSum, _t_terms
 from conftest import ctx_for
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The (p, psi, chi) of every term evaluation the sums start, in order.
+
+    `sum_exact` answers a repeated (psi, chi) from the context's last result
+    without starting one, so a test that compares calls counts these to know
+    that each call evaluated."""
+    made = []
+    t_terms = sums._t_terms
+
+    def spy(ctx, psi, chi):
+        made.append((ctx.p, psi, chi))
+        return t_terms(ctx, psi, chi)
+
+    monkeypatch.setattr(sums, "_t_terms", spy)
+    return made
 
 
 def brute_sum(p: int, terms, j: int) -> complex:
@@ -180,20 +200,23 @@ def term_array(ctx, psi, chi) -> np.ndarray:
         (65539, (1000, 2**16)),  # p-1 just above 2**16
     ],
 )
-def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, p, chunks):
-    ctx = ctx_for(p)
+def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, evaluations, p, chunks):
+    ctx = make_field_ctx(p)  # its last sum is none of these
     rng = np.random.default_rng(p)
     exps = (rng.choice(p - 2, size=4, replace=False) + 1).tolist()
     psi = SparsePoly.from_terms(p, list(zip(rng.integers(1, p, 4).tolist(), exps)))
     chi = CharacterIndex(int(rng.integers(0, p - 1)))
+    other = CharacterIndex(chi.j + 1)  # between two calls for chi: each one evaluates
     seen = set()
     for chunk in chunks:
         monkeypatch.setattr(sums, "CHUNK", chunk)
-        seen.add((_bits(sum_exact(ctx, psi, chi).value), term_array(ctx, psi, chi).tobytes()))
+        seen.add((_bits(sum_exact(ctx, psi, chi).value), _bits(sum_exact(ctx, psi, other).value),
+                  term_array(ctx, psi, chi).tobytes()))
     assert len(seen) == 1
+    assert len(evaluations) == 2 * len(chunks)  # term_array reads _t_terms itself
 
 
-def test_sums_do_not_depend_on_the_thread_count(monkeypatch):
+def test_sums_do_not_depend_on_the_thread_count(monkeypatch, evaluations):
     # CHUNK 1000 gives p = 10009 eleven chunks, and the 36 rows of
     # sum_decomposed (gcds 4, 6, 9) threads of their own; one, two, three and
     # eleven threads give the same bits
@@ -216,12 +239,14 @@ def test_sums_do_not_depend_on_the_thread_count(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert gcd(34, p - 1) > 1 and len(seen) == 1
+    assert len(evaluations) == 4 * 6  # every call at every CPU count evaluated
 
 
-def test_a_failing_part_fails_the_call_and_leaves_no_thread(monkeypatch):
-    ctx = ctx_for(65539)  # p - 1 > CHUNK: two chunks, two threads
+def test_a_failing_part_fails_the_call_and_leaves_no_thread(monkeypatch, evaluations):
+    ctx = make_field_ctx(65539)  # p - 1 > CHUNK: two chunks, two threads
     psi = SparsePoly.from_terms(ctx.p, [(3, 5), (1, 2), (7, 9), (2, 11)])
     monkeypatch.setattr(field, "CPUS", 2)
+    kept = sum_exact(ctx, psi, CharacterIndex(0))  # the failing calls ask for another sum
     roots = sums.roots_of_unity
     for fail_in_caller in (True, False):  # part 0 runs in the calling thread
 
@@ -235,9 +260,11 @@ def test_a_failing_part_fails_the_call_and_leaves_no_thread(monkeypatch):
         with pytest.raises(ZeroDivisionError, match="part failed"):
             sum_exact(ctx, psi, CharacterIndex(1))
         assert threading.active_count() == before
+    assert len(evaluations) == 3
+    assert ctx.last_sum[0] == ((psi, CharacterIndex(0)), kept)
 
 
-def test_threaded_sum_exact_memory_is_a_few_chunks(monkeypatch):
+def test_threaded_sum_exact_memory_is_a_few_chunks(monkeypatch, evaluations):
     # the parts share one chunk's buffers: fifteen threads (one per chunk at
     # this p) use no more memory than one
     p = 982_801
@@ -246,13 +273,14 @@ def test_threaded_sum_exact_memory_is_a_few_chunks(monkeypatch):
     peaks = {}
     for cpus in (1, 2, 16):
         monkeypatch.setattr(field, "CPUS", cpus)
-        sum_exact(ctx, psi, CharacterIndex(1))
+        sum_exact(ctx, psi, CharacterIndex(2))  # warms the threads' allocations
         tracemalloc.start()
         try:
-            sum_exact(ctx, psi, CharacterIndex(1))
+            sum_exact(ctx, psi, CharacterIndex(1))  # another sum: evaluated, not the last one
             peaks[cpus] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    assert len(evaluations) == 2 * 3
     assert max(peaks.values()) < 16 * 2**20
     assert peaks[16] < peaks[1] + 2**20  # numpy's casting buffers are per thread
 
@@ -416,6 +444,74 @@ def test_character_index_normalizes_mod_p_minus_1(ctx13):
     a = sum_exact(ctx13, psi, CharacterIndex(5))
     b = sum_exact(ctx13, psi, CharacterIndex(5 + 12))
     assert a.value == b.value
+
+
+@pytest.mark.parametrize("p", [101, 65539])
+def test_a_repeated_sum_has_the_bits_of_a_fresh_evaluation(evaluations, p):
+    # the sweep parses each task's polynomial again: an equal SparsePoly and
+    # CharacterIndex are the same key
+    ctx = make_field_ctx(p)
+    psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
+    first = sum_exact(ctx, psi, CharacterIndex(7))
+    again = sum_exact(ctx, SparsePoly.parse(p, str(psi)), CharacterIndex(7))
+    assert again is first and len(evaluations) == 1
+    fresh = sum_exact(make_field_ctx(p), psi, CharacterIndex(7))
+    assert len(evaluations) == 2
+    assert _bits(fresh.value) == _bits(again.value) and fresh.term_count == again.term_count
+
+
+def test_another_p_psi_or_chi_evaluates_again(evaluations):
+    p, q = 101, 103
+    ctx, other_ctx = make_field_ctx(p), make_field_ctx(q)
+    terms = [(3, 5), (1, 2), (7, 9), (2, 11)]
+    psi, psi2 = SparsePoly.from_terms(p, terms), SparsePoly.from_terms(p, terms[:3])
+    calls = [
+        (ctx, psi, 4),
+        (ctx, psi, 4 + p - 1),  # chi_j and chi_(j+p-1): equal values, two evaluations
+        (ctx, psi2, 4 + p - 1),
+        (ctx, psi2, 5),
+        (other_ctx, SparsePoly.from_terms(q, terms), 5),  # the same terms mod another p
+        (ctx, psi, 4),  # the slot now holds (psi2, chi_5)
+    ]
+    values = [sum_exact(c, f, CharacterIndex(j)) for c, f, j in calls]
+    assert evaluations == [(c.p, f, CharacterIndex(j)) for c, f, j in calls]
+    assert _bits(values[0].value) == _bits(values[1].value) == _bits(values[5].value)
+    assert len({_bits(v.value) for v in values[1:5]}) == 4
+    # each context keeps its own last sum
+    assert sum_exact(other_ctx, SparsePoly.from_terms(q, terms), CharacterIndex(5)) is values[4]
+    assert len(evaluations) == len(calls)
+
+
+def test_a_failed_evaluation_leaves_the_last_sum_as_it_was(monkeypatch, evaluations):
+    ctx = make_field_ctx(101)
+    psi = SparsePoly.from_terms(101, [(3, 5), (1, 2), (7, 9), (2, 11)])
+    kept = sum_exact(ctx, psi, CharacterIndex(0))
+
+    def failing(u, n, out):
+        raise FloatingPointError("evaluation failed")
+
+    with monkeypatch.context() as m:
+        m.setattr(sums, "roots_of_unity", failing)
+        for j in (1, 2):
+            with pytest.raises(FloatingPointError):
+                sum_exact(ctx, psi, CharacterIndex(j))
+            assert ctx.last_sum[0] == ((psi, CharacterIndex(0)), kept)
+    assert sum_exact(ctx, psi, CharacterIndex(0)) is kept
+    assert len(evaluations) == 3
+    assert sum_exact(ctx, psi, CharacterIndex(1)).value != kept.value  # evaluated, not kept
+    assert len(evaluations) == 4
+
+
+def test_a_dropped_context_is_collected_with_its_last_sum():
+    # the last sum lives on the context, so it keeps nothing alive after the
+    # context is dropped, as `sweep.cached_ctx` drops it
+    ctx = make_field_ctx(65539)
+    sum_exact(ctx, SparsePoly.from_terms(65539, [(3, 5), (1, 2)]), CharacterIndex(1))
+    assert ctx.last_sum[0] is not None
+    ref = weakref.ref(ctx)
+    del ctx
+    gc.collect()
+    assert ref() is None
 
 
 @settings(deadline=None, max_examples=40)

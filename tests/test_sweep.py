@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from sparsesums import ConfigInvalid, SweepConfig, UnknownKind, emit_plot_data, run_sweep, run_verify
-from sparsesums import CharacterIndex, SparsePoly, field, sum_exact, sweep
+from sparsesums import CharacterIndex, SparsePoly, field, sum_exact, sums, sweep
 from sparsesums.bounds import dx_bound, n_triples_bound, shifted_energy_bound
 from sparsesums.energy import d_times, n_triples, shifted_energy
 from sparsesums.errors import BudgetExceeded
@@ -319,6 +322,31 @@ def test_context_cache_holds_one_prime():
     info = sweep.cached_ctx.cache_info()
     assert info.misses == 3
     assert info.currsize == 1
+
+
+def test_the_identity_weil_and_bounds_suites_evaluate_each_sum_once(monkeypatch):
+    # the three suites ask for the same (p, Psi, chi) back to back: sum_exact
+    # evaluates it for the first and answers the other two from the context
+    path = Path(__file__).resolve().parent.parent / "configs" / "quick_verify.json"
+    cfg = replace(SweepConfig.from_file(path), suites=("identity", "weil", "bounds"))
+    made = []
+    t_terms = sums._t_terms
+
+    def spy(ctx, psi, chi):  # records which sum started each term evaluation
+        made.append((sys._getframe(1).f_code.co_name, ctx.p, psi, chi))
+        return t_terms(ctx, psi, chi)
+
+    monkeypatch.setattr(sums, "_t_terms", spy)
+    sweep.cached_ctx.cache_clear()  # no context of another test, nor its last sum
+    records = run_sweep(cfg)
+    asked = [(p, SparsePoly.parse(p, poly), CharacterIndex(j))
+             for _, p, poly, j, *_ in generate_tasks(cfg)]
+    exact = Counter(tuple(key) for caller, *key in made if caller == "sum_exact")
+    assert set(exact) == set(asked) and set(exact.values()) == {1}
+    assert len(asked) == 3 * len(exact)  # each asked for by the three suites
+    decomposed = [r for r in records if r["suite"] == "identity" and not r["skipped"]]
+    assert len(made) == len(exact) + len(decomposed)  # sum_decomposed always evaluates
+    assert all(r["passed"] for r in records) and len(records) == len(asked)
 
 
 def test_generate_tasks_near_the_modulus_cap_does_not_scan_p():
