@@ -15,7 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from sparsesums.errors import SparseSumsError
-from sparsesums.sweep import SweepConfig, emit_plot_data, run_sweep, write_records
+from sparsesums.sweep import SweepConfig, emit_plot_data, run_sweep, write_records, write_text
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "bounds_survey.json"
 
@@ -42,8 +42,7 @@ def main() -> None:
     write_records(records, cfg, args.out_dir / "bounds.jsonl", "jsonl")
     write_records(records, cfg, args.out_dir / "bounds.csv", "csv")
     for kind in ("winner-map", "bound-vs-p"):
-        path = args.out_dir / f"{kind.replace('-', '_')}.dat"
-        path.write_text(emit_plot_data(records, kind))
+        write_text(args.out_dir / f"{kind.replace('-', '_')}.dat", emit_plot_data(records, kind))
 
     live = [r for r in records if not r["skipped"]]
     winners = Counter(r["data"]["winner"] for r in live if "winner" in r["data"])

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .bounds import (
     ccp_bound,
@@ -41,16 +40,14 @@ from .sweep import (
     run_sweep,
     run_verify,
     write_records,
+    write_text,
 )
 
 
 def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     if out:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {out}: {exc}") from exc
+        write_text(out, text)
     else:
         sys.stdout.write(text)
 
@@ -246,12 +243,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_plotdata(args) -> int:
-    records = load_records(args.data)
-    text = emit_plot_data(records, args.kind)
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        raise IoFailure(f"cannot write {args.out}: {exc}") from exc
+    write_text(args.out, emit_plot_data(load_records(args.data), args.kind))
     return 0
 
 

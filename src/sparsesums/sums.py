@@ -41,13 +41,16 @@ which take weight arrays, always evaluate.
 
 Every sum goes through one accumulator, `_ExactSum`: an error-free
 extraction in int64 (Rump, Ogita and Oishi, "Accurate floating-point
-summation", SIAM J. Sci. Comput. 31, 2008) of the real and imaginary parts,
-whose result is the correctly rounded sum, the value math.fsum gives,
-independent of term order and chunk size. The one exception is the inner sums
-of `sum_decomposed`, one numpy sum per row, which define that route; the row
-sums then go through the accumulator too. The bilinear and quadrilinear forms
-stream their terms into it in blocks of whole rows of their last set, at most
-CHUNK terms or one row, so their memory does not grow with the number of terms.
+summation", SIAM J. Sci. Comput. 31, 2008) of the real and imaginary parts
+into two Python ints in one unit, 2**-1074, of which every float64 is an
+integer multiple. Parts merge by adding the ints, and each total is rounded
+once, so the result is the correctly rounded sum, the value math.fsum gives,
+independent of term order, chunk size and part count. The one exception is
+the inner sums of `sum_decomposed`, one numpy sum per row, which define that
+route; the row sums then go through the accumulator too. The bilinear and
+quadrilinear forms stream their terms into it in blocks of whole rows of their
+last set, at most CHUNK terms or one row, so their memory does not grow with
+the number of terms.
 
 `sum_decomposed` stores the same terms once in exponent order, twice over:
 tt[t] = T(g**t) for t in 0..2(p-1)-1. The products xyz over subgroups of
@@ -98,27 +101,29 @@ class SumValue:
 class _ExactSum:
     """Correctly rounded real and imaginary sums of complex128 values, fed as arrays.
 
-    The values are copied in blocks of at most CHUNK into the two rows of a
-    work buffer, real and imaginary parts, and both rows go through the same
-    levels. Each level rounds the block to the grid 2**e, e = top - 46 with
-    every |x| < 2**top, as q = (x + sigma) - sigma, sigma = 1.5 * 2**(e + 52).
-    Each q / 2**e is an integer of at most 46 bits, read off the bits of
-    x + sigma, so a row sums in int64 without overflow. The remainders x - q
-    are exact and go to the next level until none is left. Each part's total
-    is a Python int times 2**`_e`, rounded once by int true division. An exact
+    Every finite float64 is an integer multiple of 2**-1074, so the running
+    real and imaginary totals are two Python ints counting that unit, and
+    `value` rounds each once, by int true division by 2**1074. The values are
+    copied in blocks of at most CHUNK into the two rows of a work buffer, real
+    and imaginary parts, and both rows go through the same levels. Each level
+    rounds the block to the grid 2**e, e = max(top - 46, -1074) with every
+    |x| < 2**top, as q = (x + sigma) - sigma, sigma = 1.5 * 2**(e + 52). Each
+    q / 2**e is an integer of at most 46 bits, read off the bits of x + sigma,
+    so a row sums in int64 without overflow, and its sum, shifted left by
+    e + 1074 >= 0, is added to the total. The remainders x - q are exact and go
+    to the next level until none is left. Merging adds the totals. An exact
     zero is +0.0 whatever the signs of the zero terms, as math.fsum gives on
     Python 3.11, so records do not depend on them. A part with non-finite terms
-    is their IEEE sum; finite terms of magnitude 2**1017 or more raise
-    OverflowError.
+    is their IEEE sum; finite terms of magnitude 2**1017 or more, or a finite
+    total past the float range, raise OverflowError.
 
     `work`, a float64 array of shape (2, 2, m), is used for blocks of up to m
     values; longer blocks, or none given, allocate their own on first use.
     """
 
     def __init__(self, work: np.ndarray | None = None) -> None:
-        self._re = 0
+        self._re = 0  # the totals in units of 2**-1074
         self._im = 0
-        self._e = 0
         self._special = 0j  # IEEE sums of the non-finite parts
         # reused level buffers: no page faults per block
         self._work = np.empty((2, 2, 0)) if work is None else work
@@ -150,32 +155,21 @@ class _ExactSum:
             # 2**e: the int64 sums may wrap, but each level sum fits in 63 bits
             re, im = s.view(np.int64).sum(axis=1).tolist()
             offset = len(z) * (((e + 52 + 1023) << 52) | (1 << 51))  # the bits of sigma
-            self._push(_wrap(re - offset), _wrap(im - offset), e)
+            self._re += _wrap(re - offset) << (e + 1074)
+            self._im += _wrap(im - offset) << (e + 1074)
             np.subtract(s, sigma, out=s)
             np.subtract(x, s, out=x)
             top = float(np.abs(x, out=s).max())
 
     def merge(self, other: "_ExactSum") -> None:
         """Add the terms `other` has been fed, as if they had been fed here."""
-        self._push(other._re, other._im, other._e)
+        self._re += other._re
+        self._im += other._im
         self._special += other._special
 
-    def _push(self, re: int, im: int, e: int) -> None:
-        if e < self._e:
-            self._re <<= self._e - e
-            self._im <<= self._e - e
-            self._e = e
-        self._re += re << (e - self._e)
-        self._im += im << (e - self._e)
-
-    def _part(self, n: int) -> float:
-        if self._e < 0:
-            return n / (1 << -self._e)
-        return float(n << self._e)
-
     def value(self) -> complex:
-        re = self._special.real or self._part(self._re)
-        im = self._special.imag or self._part(self._im)
+        re = self._special.real or self._re / 2**1074
+        im = self._special.imag or self._im / 2**1074
         return complex(re, im)
 
 

@@ -206,6 +206,32 @@ def test_sweep_and_plotdata_roundtrip(capsys, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sum", "--p", "13", "--poly", "1,3;1,1"),
+        ("count", "--p", "13", "--quantity", "ntriples", "--orders", "3,4,2"),
+        ("bounds", "--p", "13", "--poly", "1,4;1,6;1,3;1,2"),
+        ("compare", "--p", "13", "--poly", "1,4;1,6;1,3;1,2"),
+        ("verify", "--config", "{config}"),
+        ("sweep", "--config", "{config}"),
+        ("plotdata", "--kind", "winner-map", "--data", "{data}"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_an_unwritable_out_exits_3(capsys, tmp_path, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"primes": [11], "suites": ["bounds"], "seed": 3}))
+    data = tmp_path / "run.jsonl"
+    assert run_cli(capsys, "sweep", "--config", str(config), "--out", str(data))[0] == 0
+    out = tmp_path / "missing" / "out"
+    argv = [arg.format(config=config, data=data) for arg in argv]
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 3
+    assert f"error: cannot write {out}" in err
+    assert not out.parent.exists()
+
+
 def test_seed_and_workers_overrides(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -177,6 +177,80 @@ def test_exact_sums_merge_as_one_accumulator():
     assert same(_ExactSum().value(), 0j)
 
 
+def _fed(values) -> _ExactSum:
+    acc = _ExactSum()
+    acc.add(np.asarray(values, dtype=np.complex128))
+    return acc
+
+
+def test_a_finite_total_past_the_float_range_overflows():
+    terms = np.full(2**10, ldexp(1.0, 1016))  # each term is summable, their total is 2**1026
+    with pytest.raises(OverflowError):
+        _fed(terms).value()
+    parts = [_fed(part * 1j) for part in np.split(terms, 8)]
+    assert all(part.value() == 1j * ldexp(1.0, 1023) for part in parts)  # each part is finite
+    total = parts[0]
+    for part in parts[1:]:
+        total.merge(part)
+    with pytest.raises(OverflowError):
+        total.value()
+
+
+def _merged(parts, grouping: str) -> complex:
+    accs = [_fed(part) for part in parts]
+    if grouping == "reversed":
+        accs.reverse()
+    while len(accs) > 1:  # in order: a left fold; "pairs": a balanced tree
+        if grouping == "pairs":
+            for a, b in zip(accs[::2], accs[1::2]):
+                a.merge(b)
+            accs = accs[::2]
+        else:
+            accs[0].merge(accs.pop(1))
+    return accs[0].value()
+
+
+def test_parts_at_every_exponent_merge_to_the_bits_of_one_accumulator():
+    # 16 parts whose largest terms lie in [2**e, 2**(e+1)) for e from -1074 to
+    # 1016, so the parts' first levels start from the bottom to the top of the
+    # float range: once as they are, once with each part also cancelling the
+    # next one's terms, so that the total is the lowest part's alone
+    rng = np.random.default_rng(25)
+    exps = np.linspace(-1074, 1016, 16).round().astype(int)
+    scaled = [
+        np.ldexp(rng.choice([-1.0, 1.0], 40) * (1.0 + rng.random(40)), e) for e in exps.tolist()
+    ]
+    as_they_are = [s + 1j * s[::-1] for s in scaled]
+    cancelling = [
+        np.concatenate([z, -nxt]) for z, nxt in zip(as_they_are, as_they_are[1:])
+    ] + as_they_are[-1:]
+    for parts in (as_they_are, cancelling):
+        stream = np.concatenate(parts)
+        one = _fed(stream).value()
+        assert _bits(one) == _bits(complex(fsum(stream.real), fsum(stream.imag)))
+        for grouping in ("in order", "reversed", "pairs"):
+            assert _bits(_merged(parts, grouping)) == _bits(one), grouping
+    assert one == complex(fsum(scaled[0]), fsum(scaled[0][::-1]))
+
+
+def test_a_subnormal_total_of_normal_terms_equals_fsum():
+    tiny = ldexp(1.0, -1022)  # the smallest normal
+    assert _fed([1.0, 1.5 * tiny, -1.0, -tiny]).value() == ldexp(1.0, -1023) == fsum(
+        [1.0, 1.5 * tiny, -1.0, -tiny]
+    )
+    # normal terms in the lowest binade and their negations moved by a few
+    # units of 2**-1074, beside a cancelling pair of large terms
+    rng = np.random.default_rng(3)
+    x = np.ldexp(1.5 + rng.random(1000) / 4, -1022)
+    moved = x - np.ldexp(rng.integers(-3, 4, 1000).astype(np.float64), -1074)
+    terms = np.concatenate([[1e300], x, -moved, [-1e300]])
+    assert np.all(np.abs(terms) >= tiny)
+    total = fsum(terms)
+    assert 0.0 < abs(total) < tiny
+    assert _fed(terms).value() == total
+    assert _fed(terms * 1j).value() == 1j * total
+
+
 def _bits(z) -> bytes:
     return np.asarray(z, dtype=np.complex128).tobytes()
 

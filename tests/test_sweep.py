@@ -210,6 +210,30 @@ def test_cauchy_suite_reports_known_violations():
     assert failing["data"]["intermediate_holds"]
 
 
+def test_cauchy_tasks_are_those_of_the_cubic_filter():
+    # the triples the suite samples from, by the scan over every ordered
+    # triple of divisors, and the seeded picks the sweep makes from them
+    def cubic(divs):
+        return [
+            (df, dg, dh)
+            for df in divs
+            for dg in divs
+            for dh in divs
+            if dg >= dh and df * dg * dg <= 200_000 and df * dh * dh <= 200_000
+        ]
+
+    primes = [p for p in range(3, 3000) if is_prime(p)] + [982_801, 1_053_361]
+    for p in primes:
+        divs = field.divisors(p - 1)
+        eligible = cubic(divs)
+        assert sweep._cauchy_triples(divs) == eligible, p
+        if p > 3000:
+            assert len(divs) == 240
+            picks = sweep._rng(5, p, 0x0005).choice(len(eligible), size=12, replace=False)
+            tasks = generate_tasks(tiny_config(primes=[p], suites=["cauchy"]))
+            assert [t[1:] for t in tasks] == [(p, *eligible[i]) for i in sorted(picks.tolist())]
+
+
 def test_jsonl_roundtrip_and_header(tmp_path):
     from sparsesums import load_records, write_records
 
