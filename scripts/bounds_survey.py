@@ -4,17 +4,21 @@ Runs the bounds suite from a config file, writes the records as JSONL and
 CSV, emits the winner-map and bound-vs-p plot files, and prints the winner
 distribution. With the shipped config (primes 8000..10007, three structured
 polynomials per prime, two characters) this takes a few seconds per worker.
+The output directory is made before the survey runs; a directory or file
+that cannot be made or written prints one `error:` line and exits 3, as the
+CLI does.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-from sparsesums.errors import SparseSumsError
+from sparsesums.errors import IoFailure, SparseSumsError
 from sparsesums.sweep import SweepConfig, emit_plot_data, run_sweep, write_records, write_text
 
 DEFAULT_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "bounds_survey.json"
@@ -34,15 +38,28 @@ def main() -> None:
     except SparseSumsError as exc:
         ap.error(str(exc))
 
+    try:
+        run(cfg, args.out_dir)
+    except IoFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(3)
+
+
+def run(cfg: SweepConfig, out_dir: Path) -> None:
+    """Make `out_dir`, run the survey, write its files and print its summary.
+    A directory or file that cannot be made or written raises IoFailure."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot create {out_dir}: {exc}") from exc
     t0 = time.time()
     records = run_sweep(cfg)
     elapsed = time.time() - t0
 
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    write_records(records, cfg, args.out_dir / "bounds.jsonl", "jsonl")
-    write_records(records, cfg, args.out_dir / "bounds.csv", "csv")
+    write_records(records, cfg, out_dir / "bounds.jsonl", "jsonl")
+    write_records(records, cfg, out_dir / "bounds.csv", "csv")
     for kind in ("winner-map", "bound-vs-p"):
-        write_text(args.out_dir / f"{kind.replace('-', '_')}.dat", emit_plot_data(records, kind))
+        write_text(out_dir / f"{kind.replace('-', '_')}.dat", emit_plot_data(records, kind))
 
     live = [r for r in records if not r["skipped"]]
     winners = Counter(r["data"]["winner"] for r in live if "winner" in r["data"])
@@ -52,7 +69,7 @@ def main() -> None:
     print(f"bound violations: {len(failures)}")
     for rec in failures[:5]:
         print(f"  rerun: {rec['data'].get('rerun', '?')}")
-    print(f"wrote jsonl/csv and plot files under {args.out_dir}/")
+    print(f"wrote jsonl/csv and plot files under {out_dir}/")
 
 
 if __name__ == "__main__":

@@ -15,14 +15,16 @@ it: two residues multiply past int32 above p = 46,341, and two logs add past
 it above 2**30. Readers that only index with the entries read them as they
 are.
 
-Character values are not stored: the sums evaluate the additive characters
-exp(2*pi*i*u/p) and the multiplicative ones exp(2*pi*i*u/(p-1)) per chunk
-with `roots_of_unity`, so a value does not depend on where it is computed.
-Computing e_p per sum costs one complex exp per residue, about ten gathers,
-and saves a complex128 table of 16 B per residue on every context.
-`FieldCtx.e_table` and `FieldCtx.chi_unit` build the length p and p-1 tables
-by the same expression, over the whole range at once, on first access only;
-the package never reads them.
+Character values are read from small tables, not from length-p ones: a
+`UnitRoots` object per modulus n holds e(u/n) = exp(2*pi*i*u/n) in one
+table of n values up to n = DIRECT_ROOTS and in two tables of O(sqrt(n))
+values above it, and reads each value by one or two gathers and at
+most one complex multiply. `FieldCtx.e_roots` (n = p, the additive
+characters) and `FieldCtx.chi_roots` (n = p-1, the multiplicative ones) are
+built on first access, at most 1.5 MiB each. `FieldCtx.e_table` and
+`FieldCtx.chi_unit` build the length p and p-1 tables by `roots_of_unity`,
+over the whole range at once, on first access only; the package never reads
+them.
 
 `g_pow` and `dlog` are filled in blocks of TABLE_BLOCK residues, and above
 one block on the process's CPUs (`CPUS`, read at import). `_run_parts` is the
@@ -49,6 +51,7 @@ from .errors import CompositeModulus, DegenerateExponents, ModulusTooLarge
 
 MAX_MODULUS = 2**31
 TABLE_BLOCK = 2**16  # residues per block while the tables are filled
+DIRECT_ROOTS = 2**16  # UnitRoots keeps one table of all n values up to this modulus
 # The CPUs this process may run on: the length-p loops use at most this many threads.
 CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -142,12 +145,80 @@ def _powers(base: int, count: int, p: int) -> np.ndarray:
 
 def roots_of_unity(u: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
     """exp(2*pi*i*u/n) into the complex128 array `out` for an int64 array u:
-    the one expression of every character value, whose bits do not depend on
-    the array's size. Every step runs in place in `out`, so nothing is
+    the expression of every table entry, whose bits do not depend on the
+    array's size. Every step runs in place in `out`, so nothing is
     allocated; the bits are those of np.exp(2j * np.pi * u / n)."""
     np.multiply(2j * np.pi, u, out=out)
     np.divide(out, n, out=out)
     return np.exp(out, out=out)
+
+
+class UnitRoots:
+    """e(u/n) = exp(2*pi*i*u/n) for int64 arrays u in [0, n), read from tables.
+
+    Up to n = DIRECT_ROOTS one table `lo` holds all n values, built by
+    `roots_of_unity`, so every value is np.exp's bit for bit. Above it, with
+    k = ceil(bit_length(n) / 2), lo[r] = e(r/n) for r < 2**k and
+    hi[q] = e(q 2**k / n) for q <= (n-1) >> k, both built by
+    `roots_of_unity`, and e(u/n) = hi[u >> k] * lo[u & (2**k - 1)], the
+    multiply out of place: 16 (2**k + ((n-1) >> k) + 1) bytes, 11 KB at
+    n = 1e5, 104 KB at 1e7 and 1.5 MiB at 2**31 - 1. Every value, whichever
+    array holds it, is the same expression of the same two entries.
+
+    Every value lies within RADIUS of e(u/n). An entry's angle is
+    fl(fl(fl(2 pi) u) fl(1/n)), three roundings and the float64 2 pi, so it
+    is off by at most 2 pi (3 * 2**-53 + 4e-17) < 2.4e-15, and cos and sin
+    each add at most one ulp: 2.5e-15 for a one-table value. A split value
+    adds lo's error (below 1.8e-16, its angle being under 0.05) and the
+    rounding of one complex multiply (sqrt(5) 2**-53 < 2.5e-16): 3e-15.
+
+    `read` and `twist` take their scratch from the caller, so a loop that
+    draws values into reused buffers allocates nothing; the tables are only
+    read, so any number of threads may read at once.
+    """
+
+    RADIUS = 3e-15  # |value - e(u/n)| at most, on either route
+
+    def __init__(self, n: int) -> None:
+        self.n, self.hi = n, None
+        if n <= DIRECT_ROOTS:
+            self.lo = roots_of_unity(np.arange(n), n, out=np.empty(n, dtype=np.complex128))
+            return
+        self.shift = -(-n.bit_length() // 2)
+        step = 1 << self.shift
+        self.mask = step - 1
+        # one table at a time, lo first: at n = 2**31 - 1 the build peaks below 2 MiB
+        self.lo = roots_of_unity(np.arange(step), n, out=np.empty(step, dtype=np.complex128))
+        u = np.arange(0, n, step)
+        self.hi = roots_of_unity(u, n, out=np.empty(len(u), dtype=np.complex128))
+
+    def read(self, u: np.ndarray, out: np.ndarray, index=None, scratch=None) -> np.ndarray:
+        """e(u/n) into the complex128 array `out`, shaped like u, returned.
+
+        Above DIRECT_ROOTS, `index` (int64) and `scratch` (two complex128
+        arrays), each like u, hold the table indices and the gathered
+        entries; missing, they are allocated."""
+        if self.hi is None:
+            return self.lo.take(u, out=out, mode="clip")
+        hi_out, lo_out = (None, None) if scratch is None else scratch
+        hi = self.hi.take(np.right_shift(u, self.shift, out=index), out=hi_out, mode="clip")
+        lo = self.lo.take(np.bitwise_and(u, self.mask, out=index), out=lo_out, mode="clip")
+        return np.multiply(hi, lo, out=out)
+
+    def twist(self, z, u, out, index, scratch) -> np.ndarray:
+        """z e(u/n) into `out`, returned: z, out and scratch are three
+        complex128 arrays and `index` an int64 one, each like u.
+
+        Up to DIRECT_ROOTS it is e(u/n) * z, the value gathered into
+        `scratch`. Above it is (z * hi) * lo, which overwrites z. Every
+        multiply is out of place: numpy rounds an aliased one-element complex
+        product by another loop than longer arrays, so sizes would show."""
+        if self.hi is None:
+            return np.multiply(self.lo.take(u, out=scratch, mode="clip"), z, out=out)
+        hi = self.hi.take(np.right_shift(u, self.shift, out=index), out=out, mode="clip")
+        zh = np.multiply(z, hi, out=scratch)
+        lo = self.lo.take(np.bitwise_and(u, self.mask, out=index), out=z, mode="clip")
+        return np.multiply(zh, lo, out=out)
 
 
 def _stretches(n: int, step: int, part: int = 0, parts: int = 1):
@@ -192,8 +263,8 @@ def _run_parts(fn, n: int, block: int) -> list:
 
 @dataclass(frozen=True, eq=False)
 class FieldCtx:
-    """Arithmetic context for a prime modulus: immutable tables, a subgroup
-    cache and the last exact sum.
+    """Arithmetic context for a prime modulus: immutable tables, the character
+    roots built on first read, a subgroup cache and the last exact sum.
 
     Share freely across workers; the cache only ever gains equal entries. The
     last sum is one slot that `sums.sum_exact` reads and replaces: it holds
@@ -210,6 +281,16 @@ class FieldCtx:
     # [((psi, chi), SumValue)] of the last sums.sum_exact evaluation, [None]
     # before one; replaced as a whole, so a reader never sees half an entry
     last_sum: list = field(default_factory=lambda: [None], init=False, repr=False)
+
+    @cached_property
+    def e_roots(self) -> UnitRoots:
+        """e_p(u) = exp(2*pi*i*u/p), read from tables built on first access."""
+        return UnitRoots(self.p)
+
+    @cached_property
+    def chi_roots(self) -> UnitRoots:
+        """exp(2*pi*i*u/(p-1)), read from tables built on first access."""
+        return UnitRoots(self.p - 1)
 
     @cached_property
     def e_table(self) -> np.ndarray:

@@ -12,12 +12,14 @@ consecutive t (`_t_terms`):
     unreduced while their sum fits in int64, which at every p up to about
     2**30 means one reduction per chunk.
   * e_p(u) = exp(2*pi*i*u/p) for the phase u, and chi_j(g**t) =
-    exp(2*pi*i*u/(p-1)) for u = j*t mod p-1, both evaluated per chunk by
-    `field.roots_of_unity`: bit for bit the values stored length p and p-1
-    tables would hold, without the tables' 16 B per residue each. For
-    j == 0 mod p-1 the terms are the e_p values as they are. Otherwise the two
-    are multiplied out of place into one reused buffer, so every p and chunk
-    size takes the same multiply loop.
+    exp(2*pi*i*u/(p-1)) for u = j*t mod p-1, both read per chunk from the
+    context's small tables, `FieldCtx.e_roots` and `FieldCtx.chi_roots`
+    (`field.UnitRoots`): up to 2**16, one gather of np.exp's values; above,
+    two gathers and one complex multiply, every value within
+    `UnitRoots.RADIUS` of the exact root. For j == 0 mod p-1 the terms are the
+    e_p values as they are. Otherwise chi is applied by `UnitRoots.twist` in
+    the chunk's three complex buffers, every multiply out of place, so every p
+    and chunk size takes the same multiply loops.
   * Both reductions mod p and mod p-1 are a - (a // p) * p in reused int64
     buffers: a floor division by a scalar is faster than numpy's remainder,
     and gives the same integers.
@@ -72,7 +74,7 @@ from math import gcd, lcm
 import numpy as np
 
 from .errors import BudgetExceeded, NonzeroRequired
-from .field import FieldCtx, SparsePoly, _run_parts, _stretches, roots_of_unity
+from .field import FieldCtx, SparsePoly, _run_parts, _stretches
 
 DECOMPOSITION_BUDGET = 10**9
 QUADLINEAR_BUDGET = 10**8
@@ -184,9 +186,9 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     in `stretches`, computed in the `share` of one chunk's buffers: one part
     of the loop over t = 0..p-2 as `field._run_parts(fn, p - 1, CHUNK)` hands
     it out. By default one part covers every t, in chunks of CHUNK. `terms`
-    is valid until that generator draws its next chunk. The monomial tables
-    and the buffers are built here once, so drawing chunks allocates nothing
-    in whichever thread draws them.
+    is valid until that generator draws its next chunk. The monomial tables,
+    the buffers and the context's root tables are built here once, so drawing
+    chunks allocates nothing in whichever thread draws them.
     """
     p, g, n = ctx.p, ctx.g, ctx.p - 1
     j = chi.j % n
@@ -197,12 +199,15 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
     batch = _unreduced_terms(p)
     groups = [tables[i : i + batch] for i in range(0, len(tables), batch)]
     js = s * j % n
+    # built here, in the calling thread, so the parts only read the tables
+    e_roots = ctx.e_roots
+    chi_roots = ctx.chi_roots if j else None
     ints = np.empty((2, size), dtype=np.int64)
-    values = np.empty((3 if j else 1, size), dtype=np.complex128)
+    values = np.empty((3, size), dtype=np.complex128)
 
     def chunks(share: slice = slice(None), stretches=None):
         acc, q = ints[:, share]
-        e = values[0, share]
+        rows = values[:, share]
         for start, m in _stretches(n, size) if stretches is None else stretches:
             acc[:m] = 0
             for group in groups:
@@ -210,17 +215,14 @@ def _t_terms(ctx: FieldCtx, psi: SparsePoly, chi: CharacterIndex):
                     np.multiply(table[:m], c * pow(g, k * start, p) % p, out=q[:m])
                     np.add(acc[:m], q[:m], out=acc[:m])
                 _reduce(acc[:m], p, q[:m])
-            roots_of_unity(acc[:m], p, out=e[:m])
+            e, r1, r2 = rows[:, :m]
+            e_roots.read(acc[:m], e, q[:m], (r1, r2))
             if not j:  # chi_0 is 1 + 0j, and multiplying by it changes no bit
-                yield start, e[:m]
+                yield start, e
                 continue
             np.add(js[:m], j * start % n, out=acc[:m])
             _reduce(acc[:m], n, q[:m])
-            r, out = values[1:, share][:, :m]
-            # out of place: numpy rounds an aliased one-element complex product
-            # by another loop than longer arrays, so chunk sizes would show
-            np.multiply(roots_of_unity(acc[:m], n, out=r), e[:m], out=out)
-            yield start, out
+            yield start, chi_roots.twist(e, acc[:m], r2, q[:m], r1)
 
     return chunks
 
@@ -371,7 +373,7 @@ def bilinear_sum(
     rows = max(1, CHUNK // max(len(y), 1))
     for i in range(0, len(x), rows):
         phase = (x[i : i + rows, None] * y[None, :]) % p
-        e = roots_of_unity(phase, p, out=np.empty(phase.shape, dtype=np.complex128))
+        e = ctx.e_roots.read(phase, np.empty(phase.shape, dtype=np.complex128))
         acc.add((aw[i : i + rows, None] * bw[None, :]) * e)
     return SumValue(acc.value(), len(x) * len(y))
 
@@ -414,7 +416,7 @@ def quadlinear_sum(
     for i in range(0, th.size, rows):
         iw, ix, iy = np.unravel_index(np.arange(i, min(i + rows, th.size)), th.shape)
         phase = (a % p * w[iw] % p * x[ix] % p * y[iy] % p)[:, None] * z % p
-        e = roots_of_unity(phase, p, out=np.empty(phase.shape, dtype=np.complex128))
+        e = ctx.e_roots.read(phase, np.empty(phase.shape, dtype=np.complex128))
         acc.add(th[iw, ix, iy][:, None] * rh[iw, ix] * sg[iw, iy] * ta[ix, iy] * e)
     return SumValue(acc.value(), size)
 

@@ -288,3 +288,26 @@ def test_bounds_survey_workers_override_is_checked(capsys, monkeypatch, tmp_path
     assert exc.value.code == 2
     assert "workers: must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "survey").exists()
+
+
+def test_bounds_survey_fails_on_its_output_directory_before_the_survey(capsys, monkeypatch,
+                                                                       tmp_path):
+    # an --out-dir naming a file: one error line and exit 3, as the CLI gives
+    # an IoFailure, and no record computed
+    from sparsesums import sweep
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "bounds_survey.py"
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+
+    def no_sweep(cfg):
+        raise AssertionError("the survey ran before its output directory was made")
+
+    monkeypatch.setattr(sweep, "run_sweep", no_sweep)
+    monkeypatch.setattr(sys, "argv", [str(script), "--out-dir", str(taken)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot create {taken}") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"

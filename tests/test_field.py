@@ -18,7 +18,7 @@ from sparsesums import (
     make_field_ctx,
     smallest_primitive_root,
 )
-from sparsesums.field import _powers, divisors
+from sparsesums.field import DIRECT_ROOTS, UnitRoots, _powers, divisors
 from conftest import ctx_for
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 31, 101, 499]
@@ -266,6 +266,94 @@ def test_make_field_ctx_rejects_bad_moduli():
         make_field_ctx(2**31)
     with pytest.raises(ValueError):
         make_field_ctx(2)
+
+
+def _sample(n: int, size: int = 2**16) -> np.ndarray:
+    """u in [0, n): both ends, both sides of the split 2**k, and random values."""
+    k = -(-n.bit_length() // 2)
+    edges = [0, 1, n - 2, n - 1, (1 << k) - 1, 1 << k, (1 << k) + 1]
+    rng = np.random.default_rng(n)
+    return np.concatenate([[e for e in edges if 0 <= e < n], rng.integers(0, n, size)])
+
+
+@pytest.mark.parametrize("n", [3, 300, 65521, DIRECT_ROOTS])
+def test_unit_roots_up_to_2_16_are_np_exp_bit_for_bit(n):
+    roots = UnitRoots(n)
+    assert roots.hi is None and len(roots.lo) == n
+    u = _sample(n)
+    expected = np.exp(2j * np.pi * u / n)
+    assert roots.read(u, np.empty(len(u), dtype=np.complex128)).tobytes() == expected.tobytes()
+    block = u[: len(u) // 4 * 4].reshape(4, -1)  # the forms read row blocks
+    got = roots.read(block, np.empty(block.shape, dtype=np.complex128))
+    assert got.tobytes() == np.exp(2j * np.pi * block / n).tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+@pytest.mark.parametrize("n", [65537, 982_801, 9_959_041, 2**31 - 2])
+def test_split_unit_roots_are_as_accurate_as_exp(n):
+    # against an 80-bit reference, the largest error of hi * lo is at most the
+    # largest error of np.exp on the same u plus 2**-52, and within RADIUS
+    roots = UnitRoots(n)
+    k = -(-n.bit_length() // 2)
+    assert len(roots.lo) == 2**k and len(roots.hi) == ((n - 1) >> k) + 1
+    u = _sample(n)
+    angle = 2 * np.arccos(np.longdouble(-1)) * (u.astype(np.longdouble) / n)
+    reference = np.cos(angle), np.sin(angle)
+
+    def max_error(z: np.ndarray) -> float:
+        return float(np.hypot(z.real - reference[0], z.imag - reference[1]).max())
+
+    split = max_error(roots.read(u, np.empty(len(u), dtype=np.complex128)))
+    exp = max_error(np.exp(2j * np.pi * u / n))
+    assert split <= exp + 2**-52
+    assert max(split, exp) <= UnitRoots.RADIUS
+
+
+def test_unit_roots_at_the_largest_modulus_take_two_small_tables():
+    import tracemalloc
+
+    n = 2**31 - 1
+    tracemalloc.start()
+    try:
+        roots = UnitRoots(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    tables = [t for t in vars(roots).values() if isinstance(t, np.ndarray)]
+    assert sorted(len(t) for t in tables) == [2**15, 2**16]  # 1.5 MiB in all
+    u = np.array([0, 1, 2**16 - 1, 2**16, n - 1], dtype=np.int64)
+    got = roots.read(u, np.empty(len(u), dtype=np.complex128))
+    assert np.abs(got - np.exp(2j * np.pi * u / n)).max() < 2 * UnitRoots.RADIUS
+
+
+def test_twist_is_the_product_of_the_reads_in_a_fixed_order():
+    # up to 2**16, e(u/n) * z; above, (z * hi) * lo: the same bits whatever
+    # the length, one value included
+    rng = np.random.default_rng(1)
+    for n in (300, 65536, 65537, 982_800):
+        roots = UnitRoots(n)
+        k = -(-n.bit_length() // 2)
+        for m in (1, 2, 1000):
+            u = rng.integers(0, n, m)
+            z = np.exp(2j * np.pi * rng.random(m))
+            if n <= DIRECT_ROOTS:
+                expected = np.multiply(np.exp(2j * np.pi * u / n), z)
+            else:
+                hi = np.exp(2j * np.pi * ((u >> k) << k) / n)
+                lo = np.exp(2j * np.pi * (u & ((1 << k) - 1)) / n)
+                expected = np.multiply(np.multiply(z, hi), lo)
+            z_row, out, scratch = np.empty((3, m), dtype=np.complex128)
+            z_row[:] = z
+            got = roots.twist(z_row, u, out, np.empty(m, dtype=np.int64), scratch)
+            assert got is out and got.tobytes() == expected.tobytes()
+
+
+def test_the_context_builds_its_roots_on_first_access():
+    ctx = make_field_ctx(65537)
+    assert "e_roots" not in ctx.__dict__ and "chi_roots" not in ctx.__dict__
+    assert ctx.e_roots is ctx.e_roots and ctx.e_roots.n == 65537 and ctx.e_roots.hi is not None
+    assert ctx.chi_roots.n == 65536 and ctx.chi_roots.hi is None
 
 
 def test_sparse_poly_parse_roundtrip():

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import threading
 import tracemalloc
 import weakref
 from inspect import getclosurevars
 from math import copysign, fsum, gcd, isnan, ldexp, sqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,8 @@ from sparsesums import (
 from sparsesums import field, make_field_ctx, sums
 from sparsesums.sums import _ExactSum, _t_terms
 from conftest import ctx_for
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -270,8 +274,8 @@ def term_array(ctx, psi, chi) -> np.ndarray:
         (29, (1, 7, 2**16)),  # p-1 = 28 a multiple of 7
         (23, (1, 7, 2**16)),  # p-1 = 22 just above a multiple of 7
         (65521, (1000, 2**16)),  # p-1 just below 2**16
-        (65537, (1000, 2**16)),  # p-1 = 2**16
-        (65539, (1000, 2**16)),  # p-1 just above 2**16
+        (65537, (1000, 2**16 - 1, 2**16)),  # p-1 = 2**16; one term above 2**16 in the last chunk
+        (65539, (1000, 2**16 + 1, 2**16)),  # p-1 just above 2**16; a one-term last chunk
     ],
 )
 def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, evaluations, p, chunks):
@@ -291,29 +295,31 @@ def test_sum_exact_and_term_array_do_not_depend_on_chunk(monkeypatch, evaluation
 
 
 def test_sums_do_not_depend_on_the_thread_count(monkeypatch, evaluations):
-    # CHUNK 1000 gives p = 10009 eleven chunks, and the 36 rows of
-    # sum_decomposed (gcds 4, 6, 9) threads of their own; one, two, three and
-    # eleven threads give the same bits
-    p = 10009
-    ctx = ctx_for(p)
-    rng = np.random.default_rng(p)
-    psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
-    heavy = _gcd_structured_quadrinomial(rng, p, (4, 6, 9))
-    assert [gcd(k, p - 1) for k in heavy.exponents[:3]] == [4, 6, 9]
+    # CHUNK 1000 gives p = 10009 eleven chunks and p = 100801, whose
+    # characters are read from split tables, 101; the 36 rows of
+    # sum_decomposed (gcds 4, 6, 9) get threads of their own; one, two, three
+    # and sixteen threads give the same bits
     monkeypatch.setattr(sums, "CHUNK", 1000)
-    seen = set()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads interleave as often as they can
-    try:
-        for cpus in (1, 2, 3, 16):
-            monkeypatch.setattr(field, "CPUS", cpus)
-            bits = [_bits(sum_exact(ctx, psi, CharacterIndex(j)).value) for j in (0, 1, p - 1, 34)]
-            bits += [_bits(sum_decomposed(ctx, heavy, CharacterIndex(j)).value) for j in (0, 5)]
-            seen.add(tuple(bits))
-    finally:
-        sys.setswitchinterval(interval)
-    assert gcd(34, p - 1) > 1 and len(seen) == 1
-    assert len(evaluations) == 4 * 6  # every call at every CPU count evaluated
+    for p in (10009, 100801):
+        ctx = ctx_for(p)
+        rng = np.random.default_rng(p)
+        psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
+        heavy = _gcd_structured_quadrinomial(rng, p, (4, 6, 9))
+        assert [gcd(k, p - 1) for k in heavy.exponents[:3]] == [4, 6, 9]
+        seen = set()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads interleave as often as they can
+        try:
+            for cpus in (1, 2, 3, 16):
+                monkeypatch.setattr(field, "CPUS", cpus)
+                js = (0, 1, p - 1, 34)
+                bits = [_bits(sum_exact(ctx, psi, CharacterIndex(j)).value) for j in js]
+                bits += [_bits(sum_decomposed(ctx, heavy, CharacterIndex(j)).value) for j in (0, 5)]
+                seen.add(tuple(bits))
+        finally:
+            sys.setswitchinterval(interval)
+        assert gcd(34, p - 1) > 1 and len(seen) == 1
+    assert len(evaluations) == 2 * 4 * 6  # every call at every CPU count evaluated
 
 
 def test_a_failing_part_fails_the_call_and_leaves_no_thread(monkeypatch, evaluations):
@@ -321,15 +327,15 @@ def test_a_failing_part_fails_the_call_and_leaves_no_thread(monkeypatch, evaluat
     psi = SparsePoly.from_terms(ctx.p, [(3, 5), (1, 2), (7, 9), (2, 11)])
     monkeypatch.setattr(field, "CPUS", 2)
     kept = sum_exact(ctx, psi, CharacterIndex(0))  # the failing calls ask for another sum
-    roots = sums.roots_of_unity
+    read = field.UnitRoots.read
     for fail_in_caller in (True, False):  # part 0 runs in the calling thread
 
-        def flaky(u, n, out, fail_in_caller=fail_in_caller):
+        def flaky(roots, *args, fail_in_caller=fail_in_caller):
             if (threading.current_thread() is threading.main_thread()) == fail_in_caller:
                 raise ZeroDivisionError("part failed")
-            return roots(u, n, out)
+            return read(roots, *args)
 
-        monkeypatch.setattr(sums, "roots_of_unity", flaky)
+        monkeypatch.setattr(field.UnitRoots, "read", flaky)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="part failed"):
             sum_exact(ctx, psi, CharacterIndex(1))
@@ -379,12 +385,38 @@ def test_decomposition_memory_does_not_grow_with_the_cpus(monkeypatch):
     assert peaks[16] < peaks[1] + (sums.ROW_BUFFERS - 1) * 16 * (p - 1) + 2**18
 
 
+def _roots_expression(u: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The factors whose product is e(u/n), from entries built here:
+    (np.exp(2j pi u / n),) up to 2**16, and above it (hi, lo) with
+    hi = e(((u >> k) << k) / n), lo = e((u & (2**k - 1)) / n),
+    k = ceil(bit_length(n) / 2)."""
+    if n <= 2**16:
+        return (np.exp(2j * np.pi * u / n),)
+    k = -(-n.bit_length() // 2)
+    return np.exp(2j * np.pi * ((u >> k) << k) / n), np.exp(2j * np.pi * (u & (2**k - 1)) / n)
+
+
+def _roots_table_expression(u: np.ndarray, n: int) -> np.ndarray:
+    """e(u/n) as `field.UnitRoots` reads it: np.exp's bits up to 2**16, hi * lo above."""
+    factors = _roots_expression(u, n)
+    return factors[0] if len(factors) == 1 else np.multiply(*factors)
+
+
+def _twist_table_expression(z: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """z e(u/n) as `field.UnitRoots.twist` forms it: e * z up to 2**16, (z hi) lo above."""
+    factors = _roots_expression(u, n)
+    if len(factors) == 1:
+        return np.multiply(factors[0], z)
+    return np.multiply(np.multiply(z, factors[0]), factors[1])
+
+
 @pytest.mark.parametrize("p, chunk", [(101, 7), (65539, 1000)])
 def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
-    # e_p(Psi(g**t)) and chi_j(g**t) are evaluated chunk by chunk as
-    # exp(2 pi i u/p) of the phase and exp(2 pi i u/(p-1)), u = j t mod p-1:
-    # bit for bit the values of whole-array tables, across chunk boundaries,
-    # one e_p evaluation per chunk, and no chi evaluation when j == 0 mod p-1
+    # e_p(Psi(g**t)) is read chunk by chunk from the tables of p at the phase,
+    # and chi_j(g**t) applied from the tables of p-1 at u = j t mod p-1: bit
+    # for bit the table expression (np.exp's values at p = 101, hi * lo at
+    # p = 65539), across chunk boundaries, one e_p read per chunk, and no chi
+    # read when j == 0 mod p-1
     ctx = ctx_for(p)
     n = p - 1
     psi = SparsePoly.from_terms(p, [(3, 5), (1, 2), (7, 9), (2, 11)])
@@ -392,38 +424,41 @@ def test_per_chunk_characters_equal_the_table_expression(monkeypatch, p, chunk):
     phase = np.zeros(n, dtype=np.int64)
     for c, k in psi.terms:
         phase = (phase + c * ctx.g_pow[(k * t) % n]) % p
-    e_vals = ctx.e_table[phase]
-    calls = []
+    e_vals = _roots_table_expression(phase, p)
+    reads, twists = [], []
+    read, twist = field.UnitRoots.read, field.UnitRoots.twist
 
-    def spy(u, m, out=None):
-        values = sums_roots(u, m, out)
-        calls.append((u.copy(), m, values.copy()))
+    def spy_read(roots, u, out, *scratch):
+        values = read(roots, u, out, *scratch)
+        reads.append((roots.n, u.copy(), values.copy()))
         return values
 
-    def evaluations(modulus):  # the arguments and values of the calls mod `modulus`
-        made = [(u, v) for u, m, v in calls if m == modulus]
-        assert len(made) == -(-n // chunk)
-        return np.concatenate([u for u, _ in made]), np.concatenate([v for _, v in made])
+    def spy_twist(roots, z, u, out, *scratch):
+        before = z.copy()
+        values = twist(roots, z, u, out, *scratch)
+        twists.append((roots.n, u.copy(), before, values.copy()))
+        return values
 
-    sums_roots = sums.roots_of_unity
     monkeypatch.setattr(sums, "CHUNK", chunk)
-    monkeypatch.setattr(sums, "roots_of_unity", spy)
+    monkeypatch.setattr(field.UnitRoots, "read", spy_read)
+    monkeypatch.setattr(field.UnitRoots, "twist", spy_twist)
     for j in (0, 1, 10, n, n + 3):  # gcd(10, p-1) > 1; n == 0 and n + 3 == 3 mod p-1
-        calls.clear()
+        reads.clear()
+        twists.clear()
         terms = np.concatenate([x.copy() for _, x in _t_terms(ctx, psi, CharacterIndex(j))()])
-        assert {m for _, m, _ in calls} == ({p} if j % n == 0 else {p, n})
-        u, values = evaluations(p)
-        assert u.tolist() == phase.tolist()
-        assert values.tobytes() == e_vals.tobytes()
+        assert len(reads) == -(-n // chunk) and {m for m, _, _ in reads} == {p}
+        assert np.concatenate([u for _, u, _ in reads]).tolist() == phase.tolist()
+        assert np.concatenate([v for _, _, v in reads]).tobytes() == e_vals.tobytes()
         if j % n == 0:
+            assert twists == []
             assert terms.tobytes() == e_vals.tobytes()
             continue
+        assert len(twists) == -(-n // chunk) and {m for m, *_ in twists} == {n}
         u = j * t % n
-        chi_vals = np.exp(2j * np.pi * u / (p - 1))
-        args, values = evaluations(n)
-        assert args.tolist() == u.tolist()
-        assert values.tobytes() == chi_vals.tobytes()
-        assert terms.tobytes() == np.multiply(chi_vals, e_vals).tobytes()
+        assert np.concatenate([u for _, u, _, _ in twists]).tolist() == u.tolist()
+        assert np.concatenate([z for _, _, z, _ in twists]).tobytes() == e_vals.tobytes()
+        assert np.concatenate([v for *_, v in twists]).tobytes() == terms.tobytes()
+        assert terms.tobytes() == _twist_table_expression(e_vals, u, n).tobytes()
 
 
 def test_phase_sums_are_reduced_before_they_can_overflow(monkeypatch):
@@ -460,8 +495,7 @@ def test_monomial_tables_are_widened_from_the_int32_context():
     start, terms = next(chunks())
     t = np.linspace(0, sums.CHUNK - 1, 500).astype(int)
     phases = np.array([psi.evaluate(pow(ctx.g, int(x), p)) for x in t])
-    expected = field.roots_of_unity(phases, p, out=np.empty(len(t), dtype=np.complex128))
-    assert start == 0 and terms[t].tobytes() == expected.tobytes()
+    assert start == 0 and terms[t].tobytes() == _roots_table_expression(phases, p).tobytes()
 
 
 def test_sums_and_bounds_never_build_the_character_table():
@@ -513,6 +547,33 @@ def test_sum_exact_equals_fsum_of_residue_order_product(p):
         )
 
 
+def test_sum_exact_above_2_16_keeps_its_pinned_bits():
+    # the bits of the split tables' sums, pinned as the bounds survey digest
+    # pins those at p <= 10,007: j = 0, 1 and a seeded j at three primes
+    pinned = json.loads((DATA / "sum_exact_large_p.json").read_text())["cases"]
+    assert [(case["p"], case["j"]) for case in pinned][::3] == [(65537, 0), (100801, 0),
+                                                                (982801, 0)]
+    for case in pinned:
+        p = case["p"]
+        value = sum_exact(ctx_for(p), SparsePoly.parse(p, case["poly"]), CharacterIndex(case["j"]))
+        assert [value.value.real.hex(), value.value.imag.hex()] == case["value"], case
+
+
+def test_gauss_sums_at_a_large_prime_have_their_exact_magnitudes():
+    # Psi = x: for chi != chi_0 the sum is a Gauss sum, |S|**2 = p exactly;
+    # for chi_0 it is sum over x != 0 of e_p(x) = -1, and each of the p-1
+    # correctly rounded terms lies within the tables' radius of its value
+    p = 982_801
+    ctx = ctx_for(p)
+    psi = SparsePoly.from_terms(p, [(1, 1)])
+    rng = np.random.default_rng(p)
+    for j in (1, (p - 1) // 2, p - 2, int(rng.integers(2, p - 1))):
+        s = sum_exact(ctx, psi, CharacterIndex(j)).value
+        assert abs(abs(s) ** 2 / p - 1) < 1e-14, j
+    s = sum_exact(ctx, psi, CharacterIndex(0)).value
+    assert abs(s + 1) <= (p - 1) * field.UnitRoots.RADIUS
+
+
 def test_character_index_normalizes_mod_p_minus_1(ctx13):
     psi = SparsePoly.parse(13, "1,3;1,1")
     a = sum_exact(ctx13, psi, CharacterIndex(5))
@@ -561,11 +622,11 @@ def test_a_failed_evaluation_leaves_the_last_sum_as_it_was(monkeypatch, evaluati
     psi = SparsePoly.from_terms(101, [(3, 5), (1, 2), (7, 9), (2, 11)])
     kept = sum_exact(ctx, psi, CharacterIndex(0))
 
-    def failing(u, n, out):
+    def failing(roots, *args):
         raise FloatingPointError("evaluation failed")
 
     with monkeypatch.context() as m:
-        m.setattr(sums, "roots_of_unity", failing)
+        m.setattr(field.UnitRoots, "read", failing)
         for j in (1, 2):
             with pytest.raises(FloatingPointError):
                 sum_exact(ctx, psi, CharacterIndex(j))
